@@ -14,7 +14,7 @@ import pytest
 from repro.attack import best_split, incentive_ratio
 from repro.core import bd_allocation, bottleneck_decomposition, proportional_response
 from repro.engine import EngineContext
-from repro.flow import FlowNetwork, dinic_max_flow, edmonds_karp_max_flow, push_relabel_max_flow
+from repro.flow import FlowNetwork, dinic_max_flow
 from repro.graphs import random_ring
 from repro.numeric import EXACT, FLOAT
 
@@ -94,14 +94,12 @@ def _bipartite_net(n: int, seed: int = 0):
     return net
 
 
-@pytest.mark.parametrize("solver", [dinic_max_flow, edmonds_karp_max_flow, push_relabel_max_flow],
-                         ids=["dinic", "edmonds-karp", "push-relabel"])
-def bench_maxflow_solvers(benchmark, solver):
+def bench_maxflow(benchmark):
     base = _bipartite_net(40)
 
     def solve():
         net = base.clone()
-        return solver(net, 0, 1)
+        return dinic_max_flow(net, 0, 1)
 
     value = benchmark(solve)
     assert value >= 0

@@ -14,7 +14,7 @@ Mechanism:   :func:`~repro.core.bottleneck_decomposition`,
 Attacks:     :func:`~repro.attack.split_ring`, :func:`~repro.attack.best_split`,
              :func:`~repro.attack.incentive_ratio`,
              :func:`~repro.attack.lower_bound_ring`
-Engine:      :class:`~repro.engine.EngineContext` (solver choice, caching,
+Engine:      :class:`~repro.engine.EngineContext` (backend, caching,
              counters -- thread one through any of the calls above)
 Theory:      :mod:`repro.theory` (executable propositions/lemmas)
 Experiments: :func:`repro.experiments.run_experiment` / the ``repro-exp`` CLI
@@ -22,7 +22,7 @@ Experiments: :func:`repro.experiments.run_experiment` / the ``repro-exp`` CLI
 
 from ._version import __version__
 from .numeric import EXACT, FLOAT, Backend, make_float_backend
-from .engine import EngineContext, EngineSpec, SOLVERS
+from .engine import EngineContext, EngineSpec
 from .exceptions import ReproError
 from .graphs import WeightedGraph, ring, path, random_ring
 from .core import (
@@ -48,7 +48,6 @@ __all__ = [
     "make_float_backend",
     "EngineContext",
     "EngineSpec",
-    "SOLVERS",
     "ReproError",
     "WeightedGraph",
     "ring",

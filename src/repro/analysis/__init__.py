@@ -3,7 +3,7 @@
 from .sweep import SweepCell, SweepResult, cell_rng, run_sweep
 from .stats import Summary, censored_max, geometric_mean, summarize
 from .instrumentation import PairEvent, SweepTrace, trace_report_sweep
-from .parallel import parallel_incentive_sweep, parallel_map, sweep_fingerprint
+from .parallel import parallel_incentive_sweep, sweep_fingerprint
 from .spectral import (
     SpectralReport,
     dynamics_jacobian,
@@ -28,6 +28,5 @@ __all__ = [
     "predicted_iterations",
     "spectral_report",
     "parallel_incentive_sweep",
-    "parallel_map",
     "sweep_fingerprint",
 ]

@@ -6,10 +6,9 @@ Usage::
     repro-exp run EXP-T8 [--scale default] [--seed 0] [--json out.json]
     repro-exp all [--scale smoke]      # run the full suite
 
-Engine flags (``run`` / ``all``): ``--solver`` picks the max-flow
-implementation, ``--no-cache`` disables the decomposition cache, and
-``--stats`` prints engine counters (flow calls, cache hits, phase timings)
-after each experiment.
+Engine flags (``run`` / ``all``): ``--no-cache`` disables the
+decomposition cache, and ``--stats`` prints engine counters (flow calls,
+cache hits, phase timings) after each experiment.
 
 Audit flags: ``--audit LEVEL`` (``off``/``cheap``/``differential``/
 ``paranoid``) attaches the :mod:`repro.oracle` audit layer so every flow
@@ -18,10 +17,9 @@ validated as it happens; violations are serialized into ``--corpus DIR``
 (default ``corpus/``) for later ``repro-oracle replay``.
 
 Runtime flags (``run`` / ``all``): ``--workers N`` runs sweep cells across
-N processes; ``--timeout S``, ``--retries K``, and ``--start-method``
-configure the :mod:`repro.runtime` supervisor (per-cell wall-clock budget,
-capped-backoff retries, explicit multiprocessing start method);
-``--checkpoint PATH`` journals completed work so a killed run resumes
+N processes under the :mod:`repro.runtime` supervisor; ``--timeout S`` and
+``--retries K`` configure it (per-cell wall-clock budget, capped-backoff
+retries); ``--checkpoint PATH`` journals completed work so a killed run resumes
 bit-identically; ``--inject-faults SPEC`` arms deterministic fault
 injection (e.g. ``"cell:exc@3;worker:kill@5;flow:nan@40"``) for chaos
 testing every recovery path.
@@ -32,12 +30,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .engine import DEFAULT_CACHE_SIZE, SOLVERS, EngineContext, using_context
+from .engine import DEFAULT_CACHE_SIZE, EngineContext, using_context
 from .exceptions import ReproError
 from .experiments import run_all, run_experiment
 from .io import dump_result
 from .runtime import (
-    START_METHODS,
     RuntimePolicy,
     clear_injector,
     install_injector,
@@ -71,8 +68,6 @@ def _common(p: argparse.ArgumentParser) -> None:
                    help="sweep size (smoke ~ seconds, full ~ minutes)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", default=None, help="also dump structured results to this path")
-    p.add_argument("--solver", default=None, choices=sorted(SOLVERS.names()),
-                   help="max-flow solver (default: dinic)")
     p.add_argument("--no-cache", action="store_true",
                    help="disable the bottleneck-decomposition cache")
     p.add_argument("--engine", default="columnar",
@@ -117,8 +112,6 @@ def _common(p: argparse.ArgumentParser) -> None:
                         "site:kind@n[:param] joined by ';' "
                         "(sites exp/cell/worker/flow; e.g. "
                         "'cell:exc@3;worker:kill@5;flow:nan@40')")
-    p.add_argument("--start-method", default="fork", choices=list(START_METHODS),
-                   help="multiprocessing start method for worker pools")
     p.add_argument("--max-memory", type=float, default=None, metavar="MB",
                    help="per-worker address-space cap in MiB "
                         "(RLIMIT_AS; a worker exceeding it fails its cell "
@@ -136,7 +129,6 @@ def _common(p: argparse.ArgumentParser) -> None:
 def _engine_context(args: argparse.Namespace) -> EngineContext:
     """A fresh context per invocation, so ``--stats`` counts only this run."""
     ctx = EngineContext(
-        solver=args.solver or "dinic",
         cache_size=0 if args.no_cache else DEFAULT_CACHE_SIZE,
         workers=args.workers,
         engine=args.engine,
@@ -158,7 +150,6 @@ def _engine_context(args: argparse.Namespace) -> EngineContext:
     policy = RuntimePolicy(
         timeout=args.timeout,
         retries=args.retries,
-        start_method=args.start_method,
         faults=args.inject_faults,
         max_memory_mb=args.max_memory,
         max_cpu_seconds=args.max_cpu,

@@ -365,11 +365,10 @@ def _solve_and_check(
     """Max-flow the pair network and assert Definition 5's saturation.
 
     Definition 5 reads the realized per-arc flows back out of the residual
-    state, so ``need_arc_flows=True``: a value-only solver (push-relabel)
-    is transparently replaced by Dinic for these solves.
+    state the solve leaves behind.
     """
     ctx = resolve_context(ctx)
-    value = ctx.max_flow(net, 0, 1, zero_tol=zero_tol, need_arc_flows=True)
+    value = ctx.max_flow(net, 0, 1, zero_tol=zero_tol)
     # Verification tolerance: reverse-arc flow accumulation can overshoot the
     # forward capacity by a few ulps when flow arrives over several paths.
     if backend.is_exact:

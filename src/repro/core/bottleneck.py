@@ -235,14 +235,12 @@ def _maximal_minimizer(
     nh = len(verts)
     s, t = 0, 1
 
-    # Flow-level tolerance is exactly zero even for floats: the solvers'
+    # Flow-level tolerance is exactly zero even for floats: Dinic's
     # pushes zero the bottleneck arc *exactly* (c - c == 0.0 in IEEE), each
     # augmentation saturates an arc, and phase count is capacity-independent,
     # so termination does not need a tolerance -- while any positive
     # tolerance would swallow genuinely tiny capacities (instances here span
-    # 12+ orders of magnitude) and corrupt the extracted cut.  Any registered
-    # solver works here: only the min *cut* is read back, which is valid even
-    # for push-relabel's maximum-preflow residuals (see engine.registry).
+    # 12+ orders of magnitude) and corrupt the extracted cut.
     ctx.max_flow(net, s, t, zero_tol=ctx.zero_tol)
     side = max_source_side(net, t, zero_tol=ctx.zero_tol)
     return {verts[i] for i in range(nh) if 2 + i in side}

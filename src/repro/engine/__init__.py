@@ -1,4 +1,4 @@
-"""Engine layer: solver registry, decomposition cache, counters, context.
+"""Engine layer: decomposition cache, counters, context.
 
 This package is a *leaf* of the library's import graph (it depends only on
 ``flow``, ``graphs``, ``numeric``, and ``exceptions``) so that ``core``,
@@ -10,6 +10,7 @@ from .cache import DecompositionCache, decomposition_key, instance_signature
 from .context import (
     DEFAULT_CACHE_SIZE,
     NULL_SPAN,
+    SOLVER_NAME,
     EngineContext,
     EngineSpec,
     default_context,
@@ -18,7 +19,6 @@ from .context import (
     using_context,
 )
 from .counters import INT_COUNTER_FIELDS, Counters
-from .registry import DEFAULT_SOLVER, SOLVERS, MaxFlowSolver, Solver, SolverRegistry
 
 __all__ = [
     "Counters",
@@ -34,9 +34,5 @@ __all__ = [
     "default_context",
     "resolve_context",
     "using_context",
-    "DEFAULT_SOLVER",
-    "SOLVERS",
-    "MaxFlowSolver",
-    "Solver",
-    "SolverRegistry",
+    "SOLVER_NAME",
 ]

@@ -1,16 +1,19 @@
 """The engine context: one explicit object for cross-cutting configuration.
 
-Solver choice, numeric backend, flow zero-tolerance, worker count, the
-decomposition cache, and the work counters used to travel through the
-library ad hoc (or not at all -- ``dinic_max_flow`` was hard-coded).
+Numeric backend, flow zero-tolerance, worker count, the decomposition
+cache, and the work counters used to travel through the library ad hoc.
 :class:`EngineContext` bundles them; every layer from ``core`` up through
 the CLI takes an optional ``ctx`` and falls back to a shared module-level
 default, so existing call sites keep today's behavior bit-for-bit while a
-configured context turns solver selection and caching into one-line knobs::
+configured context turns caching and counting into one-line knobs::
 
-    ctx = EngineContext(solver="push_relabel")
+    ctx = EngineContext(cache_size=0)
     inst = incentive_ratio(g, ctx=ctx)
     print(ctx.stats())
+
+Every max-flow solve goes through :meth:`EngineContext.max_flow`, which
+runs Dinic (:func:`repro.flow.dinic_max_flow`).  The other max-flow
+implementations are references for the audit and test layers only.
 
 Process pools cannot usefully share a mutable context, so a frozen
 :class:`EngineSpec` carries the *configuration* across pickling boundaries
@@ -26,21 +29,28 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from ..exceptions import EngineError, NumericalInstabilityError
+from ..flow.dinic import dinic_max_flow
 from ..flow.network import FlowNetwork
 from ..numeric import Backend, FLOAT
 from .cache import DecompositionCache
 from .counters import Counters
-from .registry import DEFAULT_SOLVER, SOLVERS, Solver, SolverRegistry
 
 __all__ = [
     "EngineSpec",
     "EngineContext",
     "NULL_SPAN",
+    "SOLVER_NAME",
     "default_context",
     "resolve_context",
     "using_context",
     "set_flow_fault_hook",
 ]
+
+#: Name of the engine's max-flow solver as on-disk state spells it.  Sweep,
+#: scenario, suite and serve-durability fingerprints hash it and corpus
+#: records carry it, so journals, snapshots and records written while the
+#: solver was selectable still load.
+SOLVER_NAME = "dinic"
 
 #: Process-global fault-injection hook on the flow boundary, installed by
 #: :mod:`repro.runtime.faults` (``None`` = zero overhead beyond one load).
@@ -99,7 +109,6 @@ class EngineSpec:
     context per distinct spec).
     """
 
-    solver: str = DEFAULT_SOLVER
     backend: Backend = FLOAT
     zero_tol: float = 0.0
     cache_size: int = DEFAULT_CACHE_SIZE
@@ -115,15 +124,13 @@ class EngineSpec:
     #: shard dispatches never share a metrics-drain source.
     tag: str = ""
 
-    def build(self, registry: SolverRegistry | None = None) -> "EngineContext":
+    def build(self) -> "EngineContext":
         ctx = EngineContext(
-            solver=self.solver,
             backend=self.backend,
             zero_tol=self.zero_tol,
             cache_size=self.cache_size,
             workers=self.workers,
             engine=self.engine,
-            registry=registry if registry is not None else SOLVERS,
         )
         if self.trace:
             # Lazy import for the same leaf-package reason as the auditor:
@@ -150,14 +157,11 @@ class EngineContext:
 
     Parameters
     ----------
-    solver:
-        Registry name of the max-flow solver (``"dinic"``,
-        ``"edmonds_karp"``, ``"push_relabel"``).
     backend:
         Default numeric backend for call sites that do not pass one
         explicitly.
     zero_tol:
-        Residual zero-tolerance handed to the flow solvers.  The default 0.0
+        Residual zero-tolerance handed to the max-flow solver.  The default 0.0
         is load-bearing (see ``core.bottleneck``): Dinic saturates arcs
         exactly even in floats, and a positive tolerance would swallow
         genuinely tiny capacities.
@@ -174,13 +178,11 @@ class EngineContext:
         the differential checks compare against.
     """
 
-    solver: str = DEFAULT_SOLVER
     backend: Backend = FLOAT
     zero_tol: float = 0.0
     cache_size: int = DEFAULT_CACHE_SIZE
     workers: int = 0
     engine: str = "columnar"
-    registry: SolverRegistry = field(default_factory=lambda: SOLVERS, repr=False)
     cache: DecompositionCache = field(default=None, repr=False)  # type: ignore[assignment]
     counters: Counters = field(default_factory=Counters, repr=False)
     #: Optional audit hook (see :mod:`repro.oracle`).  Typed loosely so the
@@ -212,41 +214,29 @@ class EngineContext:
         if self.engine not in ("columnar", "classic"):
             raise EngineError(
                 f"unknown engine {self.engine!r} (expected 'columnar' or 'classic')")
-        self.registry.get(self.solver)  # fail fast on unknown names
         if self.cache is None:
             self.cache = DecompositionCache(self.cache_size)
         else:
             self.cache_size = self.cache.maxsize
 
-    # -- solver dispatch -------------------------------------------------
-    def solver_entry(self, need_arc_flows: bool = False) -> Solver:
-        """The configured solver, or the Dinic fallback when the caller
-        must read per-arc flows and the configured solver is value-only."""
-        entry = self.registry.get(self.solver)
-        if need_arc_flows and not entry.supports_arc_flows:
-            self.counters.arc_flow_fallbacks += 1
-            return self.registry.get(DEFAULT_SOLVER)
-        return entry
-
+    # -- max flow ----------------------------------------------------------
     def max_flow(
         self,
         net: FlowNetwork,
         s: int,
         t: int,
         zero_tol: float | None = None,
-        need_arc_flows: bool = False,
     ):
-        """Solve ``net`` with the configured solver; returns the flow value.
+        """Solve ``net`` with Dinic; returns the flow value.
 
-        ``need_arc_flows=True`` guarantees the residual state left in
-        ``net`` is a genuine max *flow* (conservation at every node), which
-        Definition 5 needs to read off per-arc amounts.
+        The residual state left in ``net`` is a genuine max *flow*
+        (conservation at every node), so callers may read min cuts and
+        per-arc amounts off it.
         """
-        entry = self.solver_entry(need_arc_flows=need_arc_flows)
         self.counters.flow_calls += 1
         tol = self.zero_tol if zero_tol is None else zero_tol
         with self.span("flow"):
-            value = entry.fn(net, s, t, tol)
+            value = dinic_max_flow(net, s, t, tol)
         if _FLOW_FAULT_HOOK is not None:
             value = _FLOW_FAULT_HOOK(value)
         # Graceful-degradation boundary: every solve's value must be finite
@@ -257,11 +247,11 @@ class EngineContext:
         if isinstance(value, float) and not math.isfinite(value):
             raise NumericalInstabilityError(
                 f"max-flow value {value!r} is not finite "
-                f"(solver {entry.name}, n={net.n}, s={s}, t={t}); "
+                f"(n={net.n}, s={s}, t={t}); "
                 f"the instance needs the exact backend"
             )
         if self.auditor is not None:
-            self.auditor.on_flow(self, net, s, t, value, tol, entry)
+            self.auditor.on_flow(self, net, s, t, value, tol)
         return value
 
     # -- tracing -----------------------------------------------------------
@@ -360,7 +350,6 @@ class EngineContext:
     def spec(self) -> EngineSpec:
         """Configuration-only snapshot (see :class:`EngineSpec`)."""
         return EngineSpec(
-            solver=self.solver,
             backend=self.backend,
             zero_tol=self.zero_tol,
             cache_size=self.cache.maxsize,
@@ -377,7 +366,6 @@ class EngineContext:
         them, as one plain serializable dict."""
         out = self.counters.snapshot()
         out["cache"] = self.cache.stats()
-        out["solver"] = self.solver
         out["backend"] = self.backend.name
         out["engine"] = self.engine
         out["spans"] = self.tracer.snapshot() if self.tracer is not None else {}
@@ -417,7 +405,7 @@ def using_context(ctx: EngineContext):
 
     Everything that receives ``ctx=None`` inside the ``with`` body --
     including experiment modules that have not grown a ``ctx`` parameter --
-    resolves to ``ctx``, so the CLI's ``--solver``/``--no-cache`` flags
+    resolves to ``ctx``, so the CLI's ``--no-cache``/``--engine`` flags
     reach every solve of a run.  The previous default is restored on exit.
     """
     global _DEFAULT_CONTEXT

@@ -33,7 +33,6 @@ INT_COUNTER_FIELDS = (
     "dynamics_steps",
     "cache_hits",
     "cache_misses",
-    "arc_flow_fallbacks",
     "audit_flow_checks",
     "audit_invariant_checks",
     "audit_differential_checks",
@@ -82,8 +81,6 @@ class Counters:
     """Work counters accumulated by one engine context.
 
     ``flow_calls`` counts max-flow solves routed through the context;
-    ``arc_flow_fallbacks`` the subset where a value-only solver (push-relabel)
-    was swapped for Dinic because the caller needed per-arc flows;
     ``dynamics_steps`` proportional-response update steps.
     ``phase_seconds`` maps phase labels (``"decompose"``, ``"allocate"``,
     ``"best_response"``) to cumulative wall time.
@@ -112,7 +109,6 @@ class Counters:
     dynamics_steps: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    arc_flow_fallbacks: int = 0
     audit_flow_checks: int = 0
     audit_invariant_checks: int = 0
     audit_differential_checks: int = 0

@@ -87,7 +87,7 @@ def format_engine_stats(stats: dict) -> str:
             f"{path}={s['total_s']:.3f}s/{s['count']}" for path, s in top
         )
     return (
-        f"engine: solver={stats.get('solver')} backend={stats.get('backend')} | "
+        f"engine: backend={stats.get('backend')} | "
         f"flow calls={stats.get('flow_calls')} "
         f"dinkelbach iters={stats.get('dinkelbach_iterations')} "
         f"decompositions={stats.get('decompositions')} "

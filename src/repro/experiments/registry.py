@@ -16,7 +16,7 @@ import inspect
 import time
 from typing import Callable, Optional
 
-from ..engine import EngineContext
+from ..engine import SOLVER_NAME, EngineContext
 from ..exceptions import ExperimentError, is_retryable
 from ..runtime import fire_site, open_journal, resolve_policy
 from .base import ExperimentOutput, decode_output, encode_output
@@ -76,7 +76,7 @@ def _suite_fingerprint(seed: int, scale: str, ctx: Optional[EngineContext]) -> s
     that determines experiment outputs (seed, scale, engine config)."""
     engine = ()
     if ctx is not None:
-        engine = (ctx.solver, ctx.backend.name, repr(ctx.zero_tol))
+        engine = (SOLVER_NAME, ctx.backend.name, repr(ctx.zero_tol))
     return hashlib.sha256(repr((seed, scale, engine)).encode()).hexdigest()[:16]
 
 
@@ -89,7 +89,7 @@ def run_experiment(
 ) -> ExperimentOutput:
     """Run one experiment by id (e.g. ``"EXP-T8"``).
 
-    ``ctx`` configures the engine (solver, cache, counters) and, through
+    ``ctx`` configures the engine (backend, cache, counters) and, through
     its ``runtime`` policy, the retry budget for retryable failures.  The
     runner forwards it only to ``run()`` signatures that accept a ``ctx``
     parameter; experiments that have not grown one simply run with their

@@ -34,12 +34,13 @@ def run(seed: int = 0, scale: str = "default",
     def warm_checks(result, rctx):
         recon = rctx.counters.decomp_reconstructions - before[0]
         fallb = rctx.counters.reconstruction_fallbacks - before[1]
+        # The counts stay out of the rendered details: they move with worker
+        # scheduling and fault recovery, neither of which may change output.
         return [CheckResult(
             name="adaptive epochs reused decomposition segments",
             ok=recon >= 1,
-            details=f"{recon} certified reconstruction(s), "
-                    f"{fallb} fallback full solve(s) across "
-                    f"{result.epochs} epochs",
+            details=f"{'certified' if recon else 'no'} reconstructions "
+                    f"across {result.epochs} epochs",
             data={"reconstructions": recon, "fallbacks": fallb},
         )]
 

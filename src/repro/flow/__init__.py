@@ -1,9 +1,8 @@
-"""Max-flow substrate: residual network plus three independent solvers."""
+"""Max-flow substrate: residual network, Dinic, and the Edmonds-Karp reference."""
 
 from .network import FlowNetwork
 from .dinic import dinic_max_flow
 from .edmonds_karp import edmonds_karp_max_flow
-from .push_relabel import push_relabel_max_flow
 from .mincut import min_source_side, max_source_side, cut_value
 from .template import (
     FlowTemplate,
@@ -23,7 +22,6 @@ __all__ = [
     "parametric_template",
     "dinic_max_flow",
     "edmonds_karp_max_flow",
-    "push_relabel_max_flow",
     "min_source_side",
     "max_source_side",
     "cut_value",

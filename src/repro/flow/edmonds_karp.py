@@ -1,9 +1,10 @@
 """Edmonds-Karp max flow (shortest augmenting paths).
 
-Slower than Dinic (``O(V E^2)``) but much simpler; it exists as an
-independent implementation for cross-checking: the test suite solves the
-same networks with Dinic, Edmonds-Karp, push-relabel, and networkx and
-requires identical values.
+Slower than Dinic (``O(V E^2)``) but much simpler; it exists only as an
+independent reference: the differential auditor and the test suite solve
+the same networks with Dinic, Edmonds-Karp, and networkx and require
+identical values.  It is the only reference on the exact backend, because
+networkx handles float capacities only.
 """
 
 from __future__ import annotations

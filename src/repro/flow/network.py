@@ -1,4 +1,4 @@
-"""Residual flow network shared by all three max-flow algorithms.
+"""Residual flow network shared by Dinic and the Edmonds-Karp reference.
 
 Arcs are stored in flat parallel lists with the classic xor-pairing trick
 (arc ``i`` and its reverse ``i ^ 1`` are adjacent), so the augmenting /

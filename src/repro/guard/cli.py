@@ -3,7 +3,7 @@
 Usage::
 
     repro-fuzz [--iterations N] [--seed S] [--corpus DIR] [--audit LEVEL]
-               [--grid K] [--iter-timeout SECS] [--solver NAME] [--json]
+               [--grid K] [--iter-timeout SECS] [--json]
 
 Runs the seeded structure-aware fuzz campaign (:mod:`repro.guard.fuzz`)
 against the public pipeline and exits 0 when every iteration upheld the
@@ -51,8 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="SECS",
                         help="per-iteration wall-clock budget; exceeding it "
                              "is a 'hang' escape (0 disables; default: 30)")
-    parser.add_argument("--solver", default="dinic", metavar="NAME",
-                        help="max-flow solver registry name (default: dinic)")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="emit the full report as JSON on stdout")
     return parser
@@ -73,7 +71,6 @@ def main(argv: list[str] | None = None) -> int:
             audit=args.audit,
             grid=args.grid,
             iter_timeout=args.iter_timeout or None,
-            solver=args.solver,
         )
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -34,7 +34,7 @@ from fractions import Fraction
 from random import Random
 from typing import Any, Callable, Optional
 
-from ..engine import EngineContext
+from ..engine import SOLVER_NAME, EngineContext
 from ..exceptions import ReproError
 from ..graphs import WeightedGraph
 from ..io.serialization import graph_from_dict, graph_to_dict
@@ -414,7 +414,7 @@ def _file_survivor(payload: dict, outcome: FuzzOutcome, ctx: EngineContext,
         kind="fuzz",
         problems=(f"{outcome.status} at {outcome.stage}: {outcome.detail}",),
         context={
-            "solver": ctx.solver,
+            "solver": SOLVER_NAME,
             "backend": backend_to_dict(ctx.backend),
             "zero_tol": ctx.zero_tol,
             "level": level,
@@ -436,7 +436,6 @@ def fuzz(
     audit: str = "off",
     grid: int = 6,
     iter_timeout: Optional[float] = 30.0,
-    solver: str = "dinic",
 ) -> FuzzReport:
     """Run the seeded fuzz campaign; returns a :class:`FuzzReport`.
 
@@ -448,7 +447,7 @@ def fuzz(
     shrunk and filed into ``corpus_dir`` when given.
     """
     rng = Random(seed)
-    ctx = EngineContext(solver=solver)
+    ctx = EngineContext()
     if audit != "off":
         from ..oracle import attach_auditor
 

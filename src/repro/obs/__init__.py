@@ -30,7 +30,6 @@ from .metrics import (
     diff_span_snapshots,
     drain_worker_metrics,
     register_worker_context,
-    sync_worker_metrics,
 )
 from .tracer import SPAN_SEP, Tracer
 
@@ -39,7 +38,6 @@ __all__ = [
     "SPAN_SEP",
     "register_worker_context",
     "drain_worker_metrics",
-    "sync_worker_metrics",
     "absorb_metrics",
     "diff_counter_snapshots",
     "diff_span_snapshots",

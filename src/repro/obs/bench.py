@@ -16,8 +16,8 @@ stable:
 
 The suite itself mirrors ``benchmarks/``: the core primitives every
 experiment is built from (decomposition float/exact, allocation, dynamics,
-best response, the three max-flow solvers) plus two end-to-end experiment
-smoke runs.  Workloads are pure functions of fixed seeds; each measurement
+best response, max flow) plus end-to-end experiment and simulator smoke
+runs.  Workloads are pure functions of fixed seeds; each measurement
 runs on a fresh :class:`~repro.engine.EngineContext` so cache warm-up
 cannot leak between cases.
 """
@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .. import __version__ as _repro_version
-from ..engine import DEFAULT_SOLVER, EngineContext, using_context
+from ..engine import EngineContext, using_context
 from ..exceptions import ReproError
 from .tracer import Tracer
 
@@ -146,31 +146,7 @@ def _best_response_case(n: int) -> Callable[[], Callable]:
     return setup
 
 
-def _best_response_warm_case(n: int) -> Callable[[], Callable]:
-    """Best response with the columnar engine pinned explicitly.
-
-    ``best_response_n12`` runs whatever engine the measurement context
-    defaults to; this case always exercises the warm-start + segment-reuse
-    path (template instantiation, Dinkelbach seeding, reconstruction), so
-    a default-engine change can never silently drop the coverage."""
-
-    def setup() -> Callable[[EngineContext], object]:
-        from ..attack import best_split
-
-        g = _ring(n, 2)
-
-        def run(ctx: EngineContext):
-            warm_ctx = EngineContext(engine="columnar")
-            warm_ctx.counters = ctx.counters
-            warm_ctx.tracer = ctx.tracer
-            return best_split(g, 0, grid=24, ctx=warm_ctx)
-
-        return run
-
-    return setup
-
-
-def _maxflow_case(solver: str, n: int = 40) -> Callable[[], Callable]:
+def _maxflow_case(n: int = 40) -> Callable[[], Callable]:
     def setup() -> Callable[[EngineContext], object]:
         from ..flow import FlowNetwork
 
@@ -184,10 +160,7 @@ def _maxflow_case(solver: str, n: int = 40) -> Callable[[], Callable]:
                     base.add_edge(2 + i, 2 + n + j, float("inf"))
 
         def run(ctx: EngineContext):
-            solver_ctx = EngineContext(solver=solver, cache_size=0)
-            solver_ctx.counters = ctx.counters
-            solver_ctx.tracer = ctx.tracer
-            return solver_ctx.max_flow(base.clone(), 0, 1)
+            return ctx.max_flow(base.clone(), 0, 1)
 
         return run
 
@@ -248,13 +221,10 @@ BENCH_SUITE: tuple[BenchCase, ...] = (
     BenchCase("dynamics_n64", "core", _dynamics_case(64)),
     BenchCase("best_response_n6", "attack", _best_response_case(6)),
     BenchCase("best_response_n12", "attack", _best_response_case(12)),
-    BenchCase("maxflow_dinic_n40", "flow", _maxflow_case("dinic")),
-    BenchCase("maxflow_edmonds_karp_n40", "flow", _maxflow_case("edmonds_karp")),
-    BenchCase("maxflow_push_relabel_n40", "flow", _maxflow_case("push_relabel")),
+    BenchCase("maxflow_dinic_n40", "flow", _maxflow_case()),
     BenchCase("experiment_EXP-F1_smoke", "experiment", _experiment_case("EXP-F1")),
     BenchCase("experiment_EXP-T8_smoke", "experiment", _experiment_case("EXP-T8")),
     # Appended (never reordered: names are the baseline join key).
-    BenchCase("best_response_warm_n12", "attack", _best_response_warm_case(12)),
     BenchCase("dynamics_vectorized_n128", "core", _dynamics_case(128)),
     BenchCase("sim_epoch_n12", "sim", _sim_epoch_case(12)),
     BenchCase("experiment_EXP-S1_smoke", "experiment", _experiment_case("EXP-S1")),
@@ -294,7 +264,6 @@ def run_bench(
     tag: str = "local",
     only: Optional[Sequence[str]] = None,
     rounds: int = 1,
-    solver: str = DEFAULT_SOLVER,
 ) -> dict:
     """Run the suite (or the ``only`` subset) and return the report dict.
 
@@ -314,7 +283,7 @@ def run_bench(
         counters: dict = {}
         spans: dict = {}
         for _ in range(rounds):
-            ctx = EngineContext(solver=solver)
+            ctx = EngineContext()
             ctx.tracer = Tracer()
             start = time.perf_counter()
             run(ctx)
@@ -342,7 +311,6 @@ def run_bench(
         "tag": tag,
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "rounds": rounds,
-        "solver": solver,
         "fingerprint": _fingerprint(),
         "benchmarks": benchmarks,
         "totals": totals,

@@ -3,8 +3,7 @@
 Three subcommands::
 
     repro-bench list                      # show the suite
-    repro-bench run  [--tag T] [--only PAT ...] [--rounds N]
-                     [--solver S] [--out PATH]
+    repro-bench run  [--tag T] [--only PAT ...] [--rounds N] [--out PATH]
     repro-bench compare BASE NEW [--threshold PCT] [--fail-on-counters]
 
 ``run`` writes ``BENCH_<tag>.json`` (schema described in
@@ -51,9 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--rounds", type=int, default=3,
                        help="measurement rounds per case; wall time is the "
                             "best of them (default: 3)")
-    run_p.add_argument("--solver", default=None,
-                       help="max-flow solver for the engine contexts "
-                            "(default: the engine default)")
 
     cmp_p = sub.add_parser("compare", help="diff two bench reports, gate on regressions")
     cmp_p.add_argument("base", help="baseline BENCH_*.json")
@@ -78,16 +74,12 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{case.name:36s} [{case.group}]")
             return 0
         if args.command == "run":
-            kwargs = {"tag": args.tag, "only": args.only, "rounds": args.rounds}
-            if args.solver is not None:
-                kwargs["solver"] = args.solver
-            report = run_bench(**kwargs)
+            report = run_bench(tag=args.tag, only=args.only, rounds=args.rounds)
             out = args.out or f"BENCH_{args.tag}.json"
             save_report(report, out)
             total = report["totals"]["wall_s"]
             print(f"wrote {out}: {len(report['benchmarks'])} benchmark(s), "
-                  f"total wall {total:.3f}s, rounds={report['rounds']}, "
-                  f"solver={report['solver']}")
+                  f"total wall {total:.3f}s, rounds={report['rounds']}")
             return 0
         # compare
         result = compare_reports(

@@ -45,7 +45,6 @@ __all__ = [
     "begin_metrics_session",
     "end_metrics_session",
     "drain_worker_metrics",
-    "sync_worker_metrics",
     "absorb_metrics",
     "diff_counter_snapshots",
     "diff_span_snapshots",
@@ -195,12 +194,6 @@ def drain_worker_metrics() -> Optional[dict]:
     if spans_delta:
         out["spans"] = spans_delta
     return out or None
-
-
-def sync_worker_metrics() -> None:
-    """Advance the drain marks without reporting -- an explicit, readable
-    spelling of 'discard whatever is pending' for sweep-start baselines."""
-    drain_worker_metrics()
 
 
 #: Open drain sessions (supervised maps currently bracketed by

@@ -14,9 +14,9 @@
     Theorem 8 bound on each best response.  O(instance) per operation.
 ``differential``
     Everything above, plus sampled re-solves against independent oracles
-    (the other registered solvers, networkx, and -- for small instances --
-    the brute-force subset enumeration).  Sampling is counter-based, never
-    randomized, so a failing run replays deterministically.
+    (Edmonds-Karp, networkx, and -- for small instances -- the brute-force
+    subset enumeration).  Sampling is counter-based, never randomized, so
+    a failing run replays deterministically.
 ``paranoid``
     Differential with the sample period forced to 1 (every call), plus the
     proportional-response fixed-point residual on every allocation.
@@ -34,8 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-from ..engine.context import EngineContext
-from ..engine.registry import Solver
+from ..engine.context import SOLVER_NAME, EngineContext
 from ..exceptions import AuditError, EngineError
 from ..flow.network import FlowNetwork
 from ..graphs import WeightedGraph
@@ -140,19 +139,14 @@ class Auditor:
         t: int,
         value,
         zero_tol: float,
-        entry: Solver,
     ) -> None:
         counters = ctx.counters
         counters.audit_flow_checks += 1
-        problems = flow_certificate_problems(
-            net, s, t, value, zero_tol, arc_flows_valid=entry.supports_arc_flows
-        )
+        problems = flow_certificate_problems(net, s, t, value, zero_tol)
         self._flow_seen += 1
         if self.differential and self._sampled(self._flow_seen):
             diff_problems, checks = differential_flow_problems(
                 net, s, t, value, zero_tol,
-                solved_by=entry,
-                registry=ctx.registry,
                 nx_node_limit=self.config.nx_node_limit,
             )
             counters.audit_differential_checks += checks
@@ -166,7 +160,6 @@ class Auditor:
                     "network": network_to_dict(net),
                     "s": s, "t": t,
                     "zero_tol": zero_tol,
-                    "solver": entry.name,
                 },
             )
 
@@ -247,7 +240,7 @@ class Auditor:
                 kind=kind,
                 problems=tuple(problems),
                 context={
-                    "solver": ctx.solver,
+                    "solver": SOLVER_NAME,
                     "backend": backend_to_dict(
                         backend if backend is not None else ctx.backend
                     ),

@@ -6,8 +6,8 @@ returns the wrong optimum with a matching wrong cut.  The differential
 layer closes that gap by re-solving sampled calls against genuinely
 independent references:
 
-* every *other* solver in the engine's registry (three algorithm families
-  ship built in: Dinic, Edmonds-Karp, FIFO push-relabel);
+* Edmonds-Karp (:mod:`repro.flow.edmonds_karp`), a second augmenting-path
+  implementation and the only flow reference on the exact backend;
 * ``networkx.maximum_flow_value`` -- an external implementation sharing no
   code with this library (float-capacity networks only; networkx's preflow
   push mixes ``float('inf')`` into its arithmetic, which would corrupt
@@ -25,8 +25,8 @@ import math
 from typing import TYPE_CHECKING
 
 from ..core.bruteforce import brute_force_decomposition, brute_force_min_alpha
-from ..engine.registry import Solver, SolverRegistry
 from ..exceptions import ReproError
+from ..flow.edmonds_karp import edmonds_karp_max_flow
 from ..flow.network import FlowNetwork
 from ..graphs import WeightedGraph
 from .invariants import _close
@@ -62,34 +62,27 @@ def differential_flow_problems(
     t: int,
     value,
     zero_tol: float,
-    solved_by: Solver,
-    registry: SolverRegistry,
     nx_node_limit: int = 0,
 ) -> tuple[list[str], int]:
-    """Re-solve the original network with every other registered solver.
+    """Re-solve the original network with Edmonds-Karp (and networkx).
 
     ``net`` is the already-solved network (its ``orig_cap`` recovers the
-    instance); ``solved_by`` names the solver whose answer is under audit.
-    When ``nx_node_limit`` is positive and the network is float-capacity
-    with at most that many nodes, networkx is consulted as well.
+    instance) and ``value`` the engine's Dinic answer under audit.  When
+    ``nx_node_limit`` is positive and the network is float-capacity with
+    at most that many nodes, networkx is consulted as well.
     """
     problems: list[str] = []
-    checks = 0
-    for name in registry.names():
-        if name == solved_by.name:
-            continue
-        other = registry.get(name)
-        try:
-            other_value = other.fn(_pristine(net), s, t, zero_tol)
-        except ReproError as exc:
-            checks += 1
-            problems.append(f"reference solver {name!r} failed on the instance: {exc}")
-            continue
-        checks += 1
-        if not _close(other_value, value):
+    checks = 1
+    try:
+        ek_value = edmonds_karp_max_flow(_pristine(net), s, t, zero_tol)
+    except ReproError as exc:
+        problems.append(
+            f"reference solver 'edmonds_karp' failed on the instance: {exc}")
+    else:
+        if not _close(ek_value, value):
             problems.append(
-                f"solver disagreement: {solved_by.name!r} = {value!r}, "
-                f"{name!r} = {other_value!r}"
+                f"solver disagreement: 'dinic' = {value!r}, "
+                f"'edmonds_karp' = {ek_value!r}"
             )
     if nx_node_limit and net.n <= nx_node_limit:
         nx_value = networkx_max_flow_value(net, s, t)
@@ -97,7 +90,7 @@ def differential_flow_problems(
             checks += 1
             if not _close(nx_value, value):
                 problems.append(
-                    f"solver disagreement: {solved_by.name!r} = {value!r}, "
+                    f"solver disagreement: 'dinic' = {value!r}, "
                     f"networkx = {nx_value!r}"
                 )
     return problems, checks

@@ -86,16 +86,14 @@ def flow_certificate_problems(
     t: int,
     value,
     zero_tol: float,
-    arc_flows_valid: bool = True,
 ) -> list[str]:
     """Validate one solved max-flow call against its own certificates.
 
     * both extracted min cuts (minimal and maximal source side) must have
       capacity equal to the returned value -- the max-flow = min-cut
-      certificate, valid even for push-relabel's maximum-preflow residuals;
-    * when ``arc_flows_valid`` (augmenting-path solvers, or any solve the
-      caller reads arc flows from), the residual state must satisfy the
-      flow axioms and route exactly ``value`` out of the source.
+      certificate;
+    * the residual state must satisfy the flow axioms and route exactly
+      ``value`` out of the source.
     """
     problems: list[str] = []
     if isinstance(value, float) and (math.isnan(value) or value < 0):
@@ -117,17 +115,16 @@ def flow_certificate_problems(
                 f"{label} min-cut capacity {cv!r} != max-flow value {value!r}"
             )
 
-    if arc_flows_valid:
-        try:
-            assert_valid_flow(net, s, t, tol=_float_tol(net))
-        except FlowError as exc:
-            problems.append(f"flow axioms violated: {exc}")
-        else:
-            sent = node_outflow(net, s) - node_inflow(net, s)
-            if not _close(sent, value):
-                problems.append(
-                    f"net outflow of source {sent!r} != reported value {value!r}"
-                )
+    try:
+        assert_valid_flow(net, s, t, tol=_float_tol(net))
+    except FlowError as exc:
+        problems.append(f"flow axioms violated: {exc}")
+    else:
+        sent = node_outflow(net, s) - node_inflow(net, s)
+        if not _close(sent, value):
+            problems.append(
+                f"net outflow of source {sent!r} != reported value {value!r}"
+            )
     return problems
 
 

@@ -1,23 +1,23 @@
 """Replay corpus records against a fresh engine.
 
-A replay re-runs the recorded failing call -- same solver, same backend,
-same zero-tolerance -- and applies the *same* invariant predicates the
-auditor used, at the audit level stored in the record.  The verdict is
-``reproduced`` when any predicate still fails (or the computation itself
-raises), ``clean`` when the historical failure no longer manifests.
+A replay re-runs the recorded failing call -- same backend, same
+zero-tolerance, through the engine's Dinic solve -- and applies the *same*
+invariant predicates the auditor used, at the audit level stored in the
+record.  The verdict is ``reproduced`` when any predicate still fails (or
+the computation itself raises), ``clean`` when the historical failure no
+longer manifests.  A record naming any solver but Dinic cannot be
+replayed and raises :class:`~repro.exceptions.CorpusError`.
 
 Replaying never consults the ``problems`` text stored in the record: those
 document what was seen at record time, while the verdict must reflect the
-code under test now.  Passing a custom solver registry lets tests replay a
-record against the (possibly deliberately corrupted) solver that produced
-it.
+code under test now.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..engine import SOLVERS, EngineContext, SolverRegistry
+from ..engine import SOLVER_NAME, EngineContext
 from ..exceptions import (
     ConvergenceError,
     CorpusError,
@@ -54,28 +54,21 @@ class ReplayResult:
         return "REPRODUCED" if self.reproduced else "clean"
 
 
-def _context(rec: FailureRecord, registry: SolverRegistry) -> EngineContext:
-    solver = rec.context.get("solver", "dinic")
-    if solver not in registry:
+def _context(rec: FailureRecord) -> EngineContext:
+    solver = rec.context.get("solver", SOLVER_NAME)
+    if solver != SOLVER_NAME:
         raise CorpusError(
-            f"record needs solver {solver!r} which is not registered "
-            f"(have: {', '.join(registry.names())})"
-        )
+            f"record needs solver {solver!r}; only {SOLVER_NAME!r} exists")
     return EngineContext(
-        solver=solver,
         backend=backend_from_dict(rec.context.get("backend", {"tol": 0.0})),
         zero_tol=rec.context.get("zero_tol", 0.0),
         cache_size=0,
-        registry=registry,
     )
 
 
-def replay_record(
-    rec: FailureRecord, registry: SolverRegistry | None = None
-) -> ReplayResult:
+def replay_record(rec: FailureRecord) -> ReplayResult:
     """Re-run one record's failing call and re-apply its audit predicates."""
-    registry = registry if registry is not None else SOLVERS
-    ctx = _context(rec, registry)
+    ctx = _context(rec)
     level = rec.context.get("level", "cheap")
     differential = level in ("differential", "paranoid")
     try:
@@ -114,16 +107,11 @@ def _replay_flow(rec: FailureRecord, ctx: EngineContext, differential: bool) -> 
     p = rec.payload
     net = network_from_dict(p["network"])
     s, t, zero_tol = p["s"], p["t"], p.get("zero_tol", ctx.zero_tol)
-    entry = ctx.registry.get(rec.context.get("solver", "dinic"))
-    value = entry.fn(net, s, t, zero_tol)
-    problems = flow_certificate_problems(
-        net, s, t, value, zero_tol, arc_flows_valid=entry.supports_arc_flows
-    )
+    value = ctx.max_flow(net, s, t, zero_tol=zero_tol)
+    problems = flow_certificate_problems(net, s, t, value, zero_tol)
     if differential:
         diff, _ = differential_flow_problems(
-            net, s, t, value, zero_tol, solved_by=entry, registry=ctx.registry,
-            nx_node_limit=64,
-        )
+            net, s, t, value, zero_tol, nx_node_limit=64)
         problems += diff
     return problems
 
@@ -185,11 +173,9 @@ def _replay_fuzz(rec: FailureRecord, ctx: EngineContext) -> list[str]:
     return [f"{outcome.status} at {outcome.stage}: {outcome.detail}"]
 
 
-def replay_corpus(
-    corpus: FailureCorpus, registry: SolverRegistry | None = None
-) -> list[tuple[str, ReplayResult]]:
+def replay_corpus(corpus: FailureCorpus) -> list[tuple[str, ReplayResult]]:
     """Replay every record; returns ``(path, result)`` in path order."""
     results = []
     for path, rec in corpus:
-        results.append((str(path), replay_record(rec, registry)))
+        results.append((str(path), replay_record(rec)))
     return results

@@ -9,7 +9,7 @@ numeric breakdown, and operator kills mid-sweep.
 Four cooperating pieces:
 
 * :class:`RuntimePolicy` (:mod:`repro.runtime.policy`) -- the frozen knob
-  set (timeout, retries, backoff, start method, checkpoint, fault spec)
+  set (timeout, retries, backoff, checkpoint, fault spec, rlimits)
   that travels from the CLI onto ``EngineContext.runtime`` and down into
   the sweep layer.  The default policy is inert: nothing changes until a
   knob is turned.
@@ -46,13 +46,12 @@ from .faults import (
     install_injector,
     parse_fault_spec,
 )
-from .policy import START_METHODS, RuntimePolicy, resolve_policy
+from .policy import RuntimePolicy, resolve_policy
 from .supervisor import run_cell, supervised_map
 
 __all__ = [
     "RuntimePolicy",
     "resolve_policy",
-    "START_METHODS",
     "supervised_map",
     "run_cell",
     "CheckpointJournal",

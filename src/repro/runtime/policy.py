@@ -16,12 +16,7 @@ from typing import Optional
 
 from ..exceptions import EngineError
 
-__all__ = ["RuntimePolicy", "resolve_policy", "START_METHODS"]
-
-#: Multiprocessing start methods the supervisor accepts.  ``fork`` is the
-#: historical (and fastest) default on Linux; ``spawn`` is the portable
-#: choice and the only one available everywhere.
-START_METHODS = ("fork", "spawn", "forkserver")
+__all__ = ["RuntimePolicy", "resolve_policy"]
 
 
 @dataclass(frozen=True)
@@ -40,13 +35,6 @@ class RuntimePolicy:
     backoff_base / backoff_cap:
         Capped exponential backoff between retries of the same cell:
         attempt ``k`` waits ``min(cap, base * 2**(k-1))`` seconds.
-    start_method:
-        Explicit multiprocessing start method (satellite of the historical
-        ``parallel_map`` docstring/behavior mismatch: the method is now
-        named, validated, and configurable rather than silently ``fork``).
-    poll_interval:
-        Supervisor result-queue poll period; also bounds how stale a
-        timeout detection can be.
     escalate:
         When True, a cell whose failure is escalatable (non-convergence,
         NaN/Inf instability, audit violation) and whose retries are
@@ -81,8 +69,6 @@ class RuntimePolicy:
     retries: int = 0
     backoff_base: float = 0.05
     backoff_cap: float = 2.0
-    start_method: str = "fork"
-    poll_interval: float = 0.02
     escalate: bool = True
     checkpoint: Optional[str] = None
     faults: Optional[str] = None
@@ -96,14 +82,8 @@ class RuntimePolicy:
             raise EngineError(f"timeout must be positive, got {self.timeout}")
         if self.retries < 0:
             raise EngineError(f"retries must be >= 0, got {self.retries}")
-        if self.start_method not in START_METHODS:
-            raise EngineError(
-                f"start_method must be one of {START_METHODS}, got {self.start_method!r}"
-            )
         if self.backoff_base < 0 or self.backoff_cap < 0:
             raise EngineError("backoff parameters must be non-negative")
-        if self.poll_interval <= 0:
-            raise EngineError("poll_interval must be positive")
         if self.max_pool_failures < 1:
             raise EngineError("max_pool_failures must be >= 1")
         if self.max_memory_mb is not None and self.max_memory_mb <= 0:
@@ -118,8 +98,8 @@ class RuntimePolicy:
 
     @property
     def supervised(self) -> bool:
-        """True when any knob differs from the inert default, i.e. cells
-        must route through the supervisor rather than the legacy paths."""
+        """True when any knob differs from the inert default, i.e. even a
+        serial run must route its cells through the supervisor."""
         return (
             self.timeout is not None
             or self.retries > 0

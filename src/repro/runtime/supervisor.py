@@ -1,10 +1,9 @@
 """Supervised map: timeouts, retries, respawn, degradation, escalation.
 
-:func:`supervised_map` is the fault-tolerant replacement for the bare
-``Pool.map`` the sweep layer used to run on.  It preserves the layer's
-load-bearing contract -- results come back **in submission order** and are
-**bit-identical** to a serial run -- while adding the four recovery
-behaviors the ``full``-scale sweeps need to survive a night:
+:func:`supervised_map` is the library's one parallel map.  It keeps the
+sweep layer's load-bearing contract -- results come back **in submission
+order** and are **bit-identical** to a serial run -- and adds the four
+recovery behaviors the ``full``-scale sweeps need to survive a night:
 
 * **timeouts** -- each cell gets a wall-clock budget; a worker that blows
   it is killed (SIGTERM, then SIGKILL) and replaced;
@@ -20,31 +19,35 @@ behaviors the ``full``-scale sweeps need to survive a night:
   supervisor falls back to guarded serial execution in-process rather
   than failing the sweep.
 
-Workers are plain ``multiprocessing.Process`` loops with one task queue
-and one result queue **each**, so the supervisor always knows exactly
+Workers are forked ``multiprocessing.Process`` loops with one task queue
+and one result pipe **each**, so the supervisor always knows exactly
 which cell a dead or hung worker was holding and can requeue precisely
-that cell.  Per-worker result queues are load-bearing, not a convenience:
-with a single shared result queue, a worker killed in the narrow window
-where its queue-feeder thread holds the shared write lock leaves that
-lock acquired forever, wedging every *other* worker's ``put`` -- the
-whole pool stalls on one death.  Private queues confine the damage to the
-dying worker's own pipe, whose in-flight cell is requeued anyway (and
-result messages are small enough that pipe writes stay atomic, so the
-supervisor never reads a torn frame).  Worker-side exceptions cross the
-result queue as metadata (never pickled exception objects), and an
-optional checkpoint journal records each completed cell durably, in
-completion order, keyed by submission index.
+that cell.  Per-worker result channels are load-bearing, not a
+convenience: with a single shared result queue, a worker killed in the
+narrow window where its queue-feeder thread holds the shared write lock
+leaves that lock acquired forever, wedging every *other* worker's ``put``
+-- the whole pool stalls on one death.  Private pipes confine the damage
+to the dying worker's own channel, whose in-flight cell is requeued
+anyway; the supervisor closes its copy of the write end once the worker
+starts, so a worker killed mid-message reads as end-of-file.
+The supervisor sleeps in :func:`multiprocessing.connection.wait` on the
+busy workers' pipes and process sentinels, so a result or a death wakes
+it at once.  Worker-side exceptions cross the pipe as metadata (never
+pickled exception objects), and an optional checkpoint journal records
+each completed cell durably, in completion order, keyed by submission
+index.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
 import os
-import queue as queue_mod
 import signal
 import sys
 import time
 from collections import deque
+from multiprocessing.connection import wait
 from typing import Callable, Optional, Sequence, TypeVar
 
 from ..engine import Counters
@@ -190,7 +193,7 @@ def _bind_to_parent_death() -> None:
         os._exit(1)
 
 
-def _worker_main(task_q, result_q, fn, fault_spec: Optional[str],
+def _worker_main(task_q, result_conn, fn, fault_spec: Optional[str],
                  envelope: Optional[tuple] = None,
                  max_bruteforce_n: Optional[int] = None) -> None:
     """Worker loop: pull ``(index, attempt, item)``, push results/failures.
@@ -233,11 +236,11 @@ def _worker_main(task_q, result_q, fn, fault_spec: Optional[str],
                 injector.fire("worker", index=index, attempt=attempt)  # may _exit
                 injector.fire("cell", index=index, attempt=attempt)
             value = fn(item)
-            result_q.put((index, attempt, True, value, None,
-                          drain_worker_metrics()))
+            result_conn.send((index, attempt, True, value, None,
+                              drain_worker_metrics()))
         except BaseException as exc:  # noqa: BLE001 - must report, not die
             exc = translate_resource_errors(exc)
-            result_q.put((
+            result_conn.send((
                 index, attempt, False, None,
                 {
                     "type": type(exc).__name__,
@@ -297,8 +300,8 @@ class _Supervisor:
         self.results: dict[int, object] = {}
         self.pending: deque[tuple[float, int, int]] = deque()  # (ready_at, idx, attempt)
         self.inflight: dict[int, tuple[int, int, float]] = {}  # wid -> (idx, attempt, deadline)
-        self.workers: dict[int, tuple] = {}  # wid -> (Process, task_q, result_q)
-        self.mctx = mp.get_context(policy.start_method)
+        self.workers: dict[int, tuple] = {}  # wid -> (Process, task_q, result_conn)
+        self.mctx = mp.get_context("fork")
         self.processes = processes
         self._next_wid = 0
         self._deaths_since_progress = 0
@@ -309,10 +312,10 @@ class _Supervisor:
         wid = self._next_wid
         self._next_wid += 1
         task_q = self.mctx.Queue()
-        result_q = self.mctx.Queue()
+        result_conn, worker_conn = self.mctx.Pipe(duplex=False)
         proc = self.mctx.Process(
             target=_worker_main,
-            args=(task_q, result_q, self.fn, self.policy.faults,
+            args=(task_q, worker_conn, self.fn, self.policy.faults,
                   envelope_from_policy(self.policy),
                   self.policy.max_bruteforce_n),
             daemon=True,
@@ -320,12 +323,17 @@ class _Supervisor:
         try:
             proc.start()
         except OSError:
+            result_conn.close()
             return None
-        self.workers[wid] = (proc, task_q, result_q)
+        finally:
+            # Only the worker may hold the write end: its death must read
+            # as end-of-file on result_conn.
+            worker_conn.close()
+        self.workers[wid] = (proc, task_q, result_conn)
         return wid
 
     def _kill_worker(self, wid: int) -> None:
-        proc, task_q, result_q = self.workers.pop(wid)
+        proc, task_q, result_conn = self.workers.pop(wid)
         if proc.is_alive():
             proc.terminate()
             proc.join(timeout=1.0)
@@ -334,8 +342,7 @@ class _Supervisor:
                 proc.join(timeout=1.0)
         task_q.close()
         task_q.cancel_join_thread()
-        result_q.close()
-        result_q.cancel_join_thread()
+        result_conn.close()
         self.inflight.pop(wid, None)
 
     def _shutdown(self) -> None:
@@ -518,19 +525,19 @@ class _Supervisor:
                 return
             self.inflight[wid] = (idx, attempt, deadline)
 
-    def _drain_worker(self, wid: int) -> bool:
-        """Non-blocking drain of one worker's private result queue."""
+    def _drain_worker(self, wid: int) -> None:
+        """Non-blocking drain of one worker's private result pipe."""
         entry = self.workers.get(wid)
         if entry is None:
-            return False
-        result_q = entry[2]
-        drained = False
+            return
+        result_conn = entry[2]
         while True:
             try:
-                msg = result_q.get_nowait()
-            except (queue_mod.Empty, OSError, EOFError):
-                return drained
-            drained = True
+                if not result_conn.poll():
+                    return
+                msg = result_conn.recv()
+            except (OSError, EOFError):
+                return
             idx, attempt, ok, value, failure, metrics = msg
             # Merge the worker's delta unconditionally -- even for late
             # duplicates and failed attempts, the flow solves and iterations
@@ -545,12 +552,39 @@ class _Supervisor:
             else:
                 self._handle_failure(idx, attempt, _decode_failure(failure))
 
-    def _drain_results(self, block: bool = True) -> None:
-        drained = False
+    def _wake_timeout(self) -> Optional[float]:
+        """Seconds until the loop has work that no worker event announces:
+        the nearest in-flight kill deadline, the head cell's deadline
+        budget, or -- with a worker idle -- the head cell's retry time.
+        ``None`` when only a worker event can change anything."""
+        wake = [deadline for _, _, deadline in self.inflight.values()]
+        if self.pending:
+            ready_at, idx, _ = self.pending[0]
+            if len(self.inflight) < len(self.workers):
+                wake.append(ready_at)
+            budget = self._cell_deadline(idx)
+            if budget is not None:
+                wake.append(budget)
+        nearest = min(wake, default=math.inf)
+        if math.isinf(nearest):
+            return None
+        return max(0.0, nearest - time.monotonic())
+
+    def _drain_results(self) -> None:
+        """Block until a busy worker sends a result or exits, or until the
+        wake timeout passes; then drain every worker's pipe.
+
+        Only busy workers are waited on: an idle worker has nothing to
+        send, and a dead idle one would read as end-of-file forever."""
+        handles = []
+        for wid in self.inflight:
+            proc, _, result_conn = self.workers[wid]
+            handles += (result_conn, proc.sentinel)
+        timeout = self._wake_timeout()
+        if handles or timeout is not None:
+            wait(handles, timeout)
         for wid in list(self.workers):
-            drained |= self._drain_worker(wid)
-        if block and not drained:
-            time.sleep(self.policy.poll_interval)
+            self._drain_worker(wid)
 
     def _check_deadlines_and_deaths(self) -> None:
         now = time.monotonic()

@@ -326,7 +326,6 @@ def run_durable(cfg: DurableConfig | None = None, tag: str = "durable",
         "tag": tag,
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "rounds": 1,
-        "solver": "auto",
         "fingerprint": _fingerprint(),
         "benchmarks": {DURABLE_BENCH_NAME: bench},
         "totals": {"wall_s": bench["wall_s"], "counters": {}},

@@ -32,8 +32,8 @@ Two artifacts live in one durability directory:
 
 Both artifacts carry a **structure fingerprint** folding in the wire
 protocol version, the durability format, and the engine configuration
-(solver / backend / zero-tol / engine) -- anything that could change
-response bytes.  A mismatched journal refuses with a typed
+(the fixed solver name / backend / zero-tol / engine) -- anything that
+could change response bytes.  A mismatched journal refuses with a typed
 :class:`~repro.exceptions.DurabilityError` (replaying foreign admissions
 would solve them under the wrong engine); a mismatched snapshot is
 *rejected and ignored* (cold cache, correct bytes) because a cache can
@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from ..engine import EngineSpec
+from ..engine import SOLVER_NAME, EngineSpec
 from ..exceptions import CheckpointError, DurabilityError, MalformedInputError
 from ..runtime.checkpoint import read_journal
 
@@ -99,7 +99,7 @@ def durability_fingerprint(spec: EngineSpec) -> str:
     return json.dumps({
         "protocol": PROTOCOL_VERSION,
         "durability_format": DURABILITY_FORMAT,
-        "solver": spec.solver,
+        "solver": SOLVER_NAME,
         "backend": spec.backend.name,
         "zero_tol": spec.zero_tol,
         "engine": spec.engine,

@@ -441,7 +441,6 @@ def build_report(tag: str, load_stats: dict, server_stats: dict,
         "tag": tag,
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "rounds": 1,
-        "solver": serve_config.spec.solver,
         "fingerprint": _fingerprint(),
         "benchmarks": {SOAK_BENCH_NAME: bench},
         "totals": {"wall_s": bench["wall_s"], "counters": dict(counters)},
@@ -742,7 +741,6 @@ def build_overload_report(tag: str, warm_stats: dict, warm_inv: dict,
         "tag": tag,
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "rounds": 1,
-        "solver": serve_config.spec.solver,
         "fingerprint": _fingerprint(),
         "benchmarks": {OVERLOAD_BENCH_NAME: bench},
         "totals": {"wall_s": wall, "counters": dict(counters)},

@@ -30,10 +30,10 @@ import json
 import sys
 
 from ..cli import _engine_context
-from ..engine import SOLVERS, using_context
+from ..engine import using_context
 from ..exceptions import ReproError
 from ..io import dump_result
-from ..runtime import START_METHODS, clear_injector
+from ..runtime import clear_injector
 from .runner import run_scenario
 from .scenario import SCENARIOS, resolve_scenario
 
@@ -76,7 +76,6 @@ def _common(p: argparse.ArgumentParser) -> None:
                    help="override the scenario's epoch count")
     p.add_argument("--json", default=None,
                    help="also dump the full structured result to this path")
-    p.add_argument("--solver", default=None, choices=sorted(SOLVERS.names()))
     p.add_argument("--no-cache", action="store_true",
                    help="disable the bottleneck-decomposition cache")
     p.add_argument("--engine", default="columnar",
@@ -102,7 +101,6 @@ def _common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--inject-faults", default=None, metavar="SPEC",
                    help="deterministic fault-injection spec "
                         "(e.g. 'cell:exc@3;worker:kill@5')")
-    p.add_argument("--start-method", default="fork", choices=list(START_METHODS))
     p.add_argument("--max-memory", type=float, default=None, metavar="MB")
     p.add_argument("--max-cpu", type=float, default=None, metavar="S")
     p.add_argument("--max-bruteforce", type=int, default=None, metavar="N")

@@ -131,7 +131,9 @@ def _eval_coalition(g, v, grid, backend, ctx,
         x = wp * t / x_steps  # t == x_steps is the truthful report
         reported = report_weight(g, partner, x, backend)
         for i in range(grid + 1):
-            w1 = wv * i / grid
+            # Clamped: in floats wv * i / grid can exceed wv by an ulp
+            # when grid is not a power of two, and w2 would go negative.
+            w1 = min(wv * i / grid, wv)
             p, v1, v2 = cut_ring_at(reported, v, w1, wv - w1)
             a = bd_allocation(p, backend=backend, ctx=ctx)
             joint = float(a.utilities[v1] + a.utilities[v2]

@@ -5,20 +5,20 @@
 schedule (membership is seed-driven and independent of attack results, so
 the whole epoch sequence is known up front), flattens all
 ``(epoch, adversary)`` best-response cells into **one** work list, and
-executes it through the same three paths as
+executes it through the same two paths as
 :func:`repro.analysis.parallel.parallel_incentive_sweep` -- serial sharing
-the caller's context, process-parallel with worker-metrics piggybacking,
-or supervised under :func:`repro.runtime.supervised_map` whenever the
-resolved policy wants timeouts/retries/fault-injection or a checkpoint
-journal is requested.  All three produce bit-identical results; a run
-resumed from a journal after ``kill -9`` is indistinguishable from an
+the caller's context, or supervised under
+:func:`repro.runtime.supervised_map` for process-parallel runs and
+whenever the resolved policy wants timeouts/retries/fault-injection or a
+checkpoint journal is requested.  Both produce bit-identical results; a
+run resumed from a journal after ``kill -9`` is indistinguishable from an
 uninterrupted one.
 
 The journal fingerprint is built with
 :func:`repro.runtime.fingerprint_of` over the scenario's *complete* field
 set -- including the adversary-strategy discriminator -- plus the engine
 configuration, so resuming a checkpoint with a different strategy mix (or
-seed, or solver) refuses with a typed
+seed, or backend) refuses with a typed
 :class:`~repro.exceptions.CheckpointError` instead of replaying stale
 cells.
 
@@ -38,16 +38,14 @@ record through the oracle machinery for replay.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional
 
-from ..analysis.parallel import _cell_with_metrics, _context_for, parallel_map
+from ..analysis.parallel import _context_for
 from ..attack import best_split
-from ..engine import EngineContext, EngineSpec, resolve_context
+from ..engine import SOLVER_NAME, EngineContext, EngineSpec, resolve_context
 from ..graphs import WeightedGraph
 from ..numeric import EXACT
-from ..obs.metrics import absorb_metrics, sync_worker_metrics
 from ..oracle import (
     FailureCorpus,
     FailureRecord,
@@ -89,7 +87,7 @@ def scenario_fingerprint(scenario: Scenario, spec: EngineSpec | None) -> str:
     """
     engine = ()
     if spec is not None:
-        engine = (spec.solver, spec.backend.name, spec.zero_tol, spec.engine)
+        engine = (SOLVER_NAME, spec.backend.name, spec.zero_tol, spec.engine)
     return fingerprint_of(
         kind="repro-sim/1",
         scenario=scenario.fingerprint_fields(),
@@ -240,7 +238,7 @@ def _zeta_record(scenario, epoch, g, outcome, ctx) -> FailureRecord:
             f"(strategy {outcome.strategy}, epoch {epoch})",
         ),
         context={
-            "solver": ctx.solver,
+            "solver": SOLVER_NAME,
             "backend": backend_to_dict(ctx.backend),
             "zero_tol": ctx.zero_tol,
             "level": "sim",
@@ -276,8 +274,9 @@ def run_scenario(
     ``seed``/``epochs`` override the scenario's own fields (the CLI's
     ``--seed``/``--epochs``).  ``processes=None`` defers to
     ``ctx.workers``; supervision engages exactly as in
-    :func:`~repro.analysis.parallel.parallel_incentive_sweep` -- when the
-    resolved policy asks for it or a checkpoint path is given.
+    :func:`~repro.analysis.parallel.parallel_incentive_sweep` -- for
+    parallel runs, when the resolved policy asks for it, or when a
+    checkpoint path is given.
     """
     scenario = resolve_scenario(scenario, seed=seed, epochs=epochs)
     rctx = resolve_context(ctx)
@@ -327,18 +326,6 @@ def run_scenario(
                           hint_key=(args[7], args[8], args[2]), ctx=rctx)
                 for args in cells
             ]
-        elif not supervised:
-            spec = rctx.spec()
-            items = [args + (spec,) for args in cells]
-            sync_worker_metrics()
-            pairs = parallel_map(
-                functools.partial(_cell_with_metrics, _sim_cell),
-                items, processes=procs, start_method=rpolicy.start_method,
-            )
-            payloads = [value for value, _ in pairs]
-            for _, delta in pairs:
-                absorb_metrics(delta, counters=rctx.counters,
-                               tracer=getattr(rctx, "tracer", None))
         else:
             spec = rctx.spec()
             items = [args + (spec,) for args in cells]

@@ -3,30 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.analysis import parallel_incentive_sweep, parallel_map, sweep_fingerprint
+from repro.analysis import parallel_incentive_sweep, sweep_fingerprint
 from repro.analysis.parallel import _ratio_cell, _ratio_cell_exact
 from repro.engine import EngineContext
 from repro.graphs import random_ring
 from repro.runtime import RuntimePolicy
-
-
-def _square(x):
-    return x * x
-
-
-def test_parallel_map_serial_path():
-    assert parallel_map(_square, [1, 2, 3], processes=0) == [1, 4, 9]
-
-
-def test_parallel_map_single_item_stays_serial():
-    assert parallel_map(_square, [5], processes=4) == [25]
-
-
-def test_parallel_map_matches_serial_with_processes():
-    items = list(range(12))
-    serial = parallel_map(_square, items, processes=0)
-    parallel = parallel_map(_square, items, processes=2, chunksize=3)
-    assert serial == parallel
 
 
 def test_ratio_cell_picklable_and_correct():
@@ -49,17 +30,6 @@ def _graphs(count=3):
     rng = np.random.default_rng(1)
     return [random_ring(int(rng.integers(3, 6)), rng, "loguniform", 0.1, 10)
             for _ in range(count)]
-
-
-def test_parallel_map_explicit_start_method():
-    items = list(range(6))
-    out = parallel_map(_square, items, processes=2, start_method="spawn")
-    assert out == [x * x for x in items]
-
-
-def test_parallel_map_rejects_unknown_start_method():
-    with pytest.raises(ValueError):
-        parallel_map(_square, [1, 2], processes=2, start_method="telepathy")
 
 
 def test_supervised_sweep_matches_legacy_bit_for_bit():

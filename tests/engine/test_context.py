@@ -1,4 +1,4 @@
-"""EngineContext: defaults, dispatch, fallback, spec round-trips, stats."""
+"""EngineContext: defaults, dispatch, spec round-trips, stats."""
 
 import pickle
 
@@ -28,7 +28,6 @@ def _diamond():
 
 def test_default_context_matches_historic_config():
     ctx = EngineContext()
-    assert ctx.solver == "dinic"
     assert ctx.backend is FLOAT
     assert ctx.zero_tol == 0.0
     assert ctx.workers == 0
@@ -42,7 +41,8 @@ def test_resolve_context_shares_one_default():
 
 
 def test_unknown_solver_fails_fast():
-    with pytest.raises(EngineError, match="unknown solver"):
+    # Max flow is always Dinic: a context refuses to be given a solver.
+    with pytest.raises(TypeError):
         EngineContext(solver="simplex")
     with pytest.raises(EngineError):
         EngineContext(workers=-1)
@@ -55,29 +55,17 @@ def test_max_flow_counts_calls():
     assert ctx.counters.flow_calls == 2
 
 
-def test_push_relabel_falls_back_to_dinic_for_arc_flows():
-    ctx = EngineContext(solver="push_relabel")
-    assert ctx.solver_entry().name == "push_relabel"
-    entry = ctx.solver_entry(need_arc_flows=True)
-    assert entry.name == "dinic"
-    assert ctx.counters.arc_flow_fallbacks == 1
-    # arc-flow-capable solvers never fall back
-    ctx2 = EngineContext(solver="edmonds_karp")
-    assert ctx2.solver_entry(need_arc_flows=True).name == "edmonds_karp"
-    assert ctx2.counters.arc_flow_fallbacks == 0
-
-
 def test_spec_round_trip_and_pickling():
-    ctx = EngineContext(solver="edmonds_karp", backend=EXACT, zero_tol=0.0,
-                        cache_size=16, workers=3)
+    ctx = EngineContext(backend=EXACT, zero_tol=0.0, cache_size=16,
+                        workers=3, engine="classic")
     spec = ctx.spec()
-    assert spec == EngineSpec(solver="edmonds_karp", backend=EXACT,
-                              cache_size=16, workers=3)
+    assert spec == EngineSpec(backend=EXACT, cache_size=16, workers=3,
+                              engine="classic")
     revived = pickle.loads(pickle.dumps(spec))
     assert revived == spec
     assert hash(revived) == hash(spec)
     rebuilt = revived.build()
-    assert rebuilt.solver == "edmonds_karp"
+    assert rebuilt.engine == "classic"
     assert rebuilt.backend == EXACT  # pickling copies the Backend value
     assert rebuilt.cache.maxsize == 16
     assert rebuilt.workers == 3
@@ -102,7 +90,6 @@ def test_stats_shape_and_reset():
     with ctx.counters.timed("decompose"):
         pass
     s = ctx.stats()
-    assert s["solver"] == "dinic"
     assert s["backend"] == FLOAT.name
     assert s["flow_calls"] == 1
     assert "decompose" in s["phase_seconds"]
@@ -118,7 +105,7 @@ def test_using_context_installs_and_restores_default():
     from repro.engine import using_context
 
     before = default_context()
-    override = EngineContext(solver="edmonds_karp")
+    override = EngineContext(cache_size=0)
     with using_context(override):
         assert resolve_context(None) is override
     assert resolve_context(None) is before

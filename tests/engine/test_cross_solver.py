@@ -1,7 +1,7 @@
 """Cross-solver agreement on the decomposition's own auxiliary networks.
 
-The three max-flow implementations must be interchangeable inside the
-engine: identical max-flow *values* and -- because the maximal bottleneck is
+Dinic and the Edmonds-Karp reference must agree on the networks the engine
+solves: identical max-flow *values* and -- because the maximal bottleneck is
 read off the residual min cut -- identical maximal source sides.  We check
 exactly the parametric networks :func:`maximal_bottleneck` solves, over
 random rings and a sweep of lambda values including the critical
@@ -15,18 +15,20 @@ import pytest
 
 from repro.core import bottleneck_decomposition
 from repro.core.bottleneck import parametric_network
-from repro.engine import SOLVERS
+from repro.flow import dinic_max_flow, edmonds_karp_max_flow
 from repro.flow.mincut import max_source_side
 from repro.graphs import random_ring
 from repro.numeric import EXACT, FLOAT
+
+SOLVERS = {"dinic": dinic_max_flow, "edmonds_karp": edmonds_karp_max_flow}
 
 
 def _solve_all(g, active, lam, backend):
     """(value, source_side) per solver on fresh copies of the same network."""
     out = {}
-    for name in SOLVERS.names():
+    for name, solver in SOLVERS.items():
         net, _ = parametric_network(g, active, lam, backend)
-        value = SOLVERS.get(name)(net, 0, 1, 0.0)
+        value = solver(net, 0, 1, 0.0)
         out[name] = (value, max_source_side(net, 1, 0.0))
     return out
 

@@ -1,7 +1,7 @@
-"""Cross-checked tests for the three max-flow solvers.
+"""Cross-checked tests for Dinic and the Edmonds-Karp reference.
 
-Every network is solved with Dinic, Edmonds-Karp, and push-relabel, and
-(for the random batch) against networkx as an external oracle.
+Every network is solved with both, and (for the random batch) against
+networkx as an external oracle.
 """
 
 import math
@@ -20,11 +20,9 @@ from repro.flow import (
     edmonds_karp_max_flow,
     max_source_side,
     min_source_side,
-    push_relabel_max_flow,
 )
 
-SOLVERS = [dinic_max_flow, edmonds_karp_max_flow, push_relabel_max_flow]
-PATH_SOLVERS = [dinic_max_flow, edmonds_karp_max_flow]  # leave valid flows behind
+SOLVERS = [dinic_max_flow, edmonds_karp_max_flow]
 
 
 def small_diamond():
@@ -44,7 +42,7 @@ def test_diamond_value(solver):
     assert solver(net, 0, 3) == 5
 
 
-@pytest.mark.parametrize("solver", PATH_SOLVERS)
+@pytest.mark.parametrize("solver", SOLVERS)
 def test_diamond_flow_is_valid(solver):
     net = small_diamond()
     solver(net, 0, 3)
@@ -77,7 +75,7 @@ def test_fraction_capacities_exact(solver):
     assert isinstance(val, Fraction)
 
 
-@pytest.mark.parametrize("solver", PATH_SOLVERS)
+@pytest.mark.parametrize("solver", SOLVERS)
 def test_infinite_middle_edges(solver):
     # bipartite-style network with inf middle arcs, as built by Definition 5
     net = FlowNetwork(6)
@@ -90,13 +88,6 @@ def test_infinite_middle_edges(solver):
     net.add_edge(4, 5, 4.0)
     assert solver(net, 0, 5) == pytest.approx(5.0)
     assert_valid_flow(net, 0, 5, tol=1e-12)
-
-
-def test_push_relabel_rejects_infinite_source_arc():
-    net = FlowNetwork(2)
-    net.add_edge(0, 1, math.inf)
-    with pytest.raises(FlowError):
-        push_relabel_max_flow(net, 0, 1)
 
 
 @pytest.mark.parametrize("solver", SOLVERS)

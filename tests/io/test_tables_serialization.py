@@ -78,7 +78,7 @@ def test_network_roundtrip_preserves_arcs_and_drops_flow():
     import json
     import math
 
-    from repro.engine import SOLVERS
+    from repro.flow import dinic_max_flow
     from repro.io import network_from_dict, network_to_dict
     from repro.flow.network import FlowNetwork
 
@@ -88,7 +88,7 @@ def test_network_roundtrip_preserves_arcs_and_drops_flow():
     net.add_edge(1, 3, Fraction(2, 7))
     net.add_edge(2, 3, 5)
     net.add_edge(0, 1, 1.5)  # parallel arc: construction order must survive
-    SOLVERS.get("dinic").fn(net, 0, 3, 0.0)  # route some flow
+    dinic_max_flow(net, 0, 3, 0.0)  # route some flow
 
     d = network_to_dict(net)
     json.dumps(d)  # JSON-safe even with inf (hex-encoded) and Fractions

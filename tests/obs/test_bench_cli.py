@@ -24,14 +24,6 @@ def test_run_writes_default_named_report(tmp_path, monkeypatch, capsys):
     assert "wrote BENCH_t1.json" in capsys.readouterr().out
 
 
-def test_run_explicit_out_and_solver(tmp_path):
-    out = tmp_path / "custom.json"
-    rc = main(["run", "--only", "maxflow_edmonds_karp", "--rounds", "1",
-               "--solver", "edmonds_karp", "--out", str(out)])
-    assert rc == 0
-    assert json.loads(out.read_text())["solver"] == "edmonds_karp"
-
-
 def test_run_unknown_filter_exits_2(capsys):
     assert main(["run", "--only", "nonexistent-case"]) == 2
     assert "error" in capsys.readouterr().err
@@ -62,7 +54,8 @@ def test_compare_regression_exits_1(tmp_path, capsys):
 def test_compare_subset_needs_allow_missing(tmp_path, capsys):
     full = tmp_path / "full.json"
     sub = tmp_path / "sub.json"
-    main(["run", "--only", "maxflow", "--rounds", "1", "--out", str(full)])
+    main(["run", "--only", "maxflow", "--only", "decompose_float_n8",
+          "--rounds", "1", "--out", str(full)])
     main(["run", "--only", "maxflow_dinic", "--rounds", "1", "--out", str(sub)])
     capsys.readouterr()
     assert main(["compare", str(full), str(sub), "--threshold", "300"]) == 1

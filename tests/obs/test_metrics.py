@@ -11,16 +11,15 @@ from repro.obs.metrics import (
     diff_counter_snapshots,
     drain_worker_metrics,
     register_worker_context,
-    sync_worker_metrics,
 )
 
 
 @pytest.fixture(autouse=True)
 def _clean_registry():
     """Each test starts and ends with drained (empty-delta) sources."""
-    sync_worker_metrics()
+    drain_worker_metrics()
     yield
-    sync_worker_metrics()
+    drain_worker_metrics()
 
 
 def _work(ctx):
@@ -33,7 +32,7 @@ def _work(ctx):
 def test_drain_reports_only_new_work():
     ctx = EngineContext(cache_size=0)
     register_worker_context(ctx)
-    sync_worker_metrics()
+    drain_worker_metrics()
     _work(ctx)
     delta = drain_worker_metrics()
     assert delta is not None
@@ -47,25 +46,17 @@ def test_register_is_idempotent():
     ctx = EngineContext(cache_size=0)
     register_worker_context(ctx)
     register_worker_context(ctx)
-    sync_worker_metrics()
+    drain_worker_metrics()
     _work(ctx)
     delta = drain_worker_metrics()
     assert delta["counters"]["decompositions"] == 1  # not double-counted
-
-
-def test_sync_discards_pending_deltas():
-    ctx = EngineContext(cache_size=0)
-    register_worker_context(ctx)
-    _work(ctx)
-    sync_worker_metrics()
-    assert drain_worker_metrics() is None
 
 
 def test_drain_includes_tracer_spans():
     ctx = EngineContext(cache_size=0)
     ctx.tracer = Tracer()
     register_worker_context(ctx)
-    sync_worker_metrics()
+    drain_worker_metrics()
     _work(ctx)
     delta = drain_worker_metrics()
     assert "decompose" in delta["spans"]
@@ -76,7 +67,7 @@ def test_absorb_into_parent_context():
     worker = EngineContext(cache_size=0)
     worker.tracer = Tracer()
     register_worker_context(worker)
-    sync_worker_metrics()
+    drain_worker_metrics()
     _work(worker)
     delta = drain_worker_metrics()
 
@@ -114,7 +105,7 @@ def test_spec_rebuild_registers_for_draining():
     spec = EngineContext(cache_size=0).spec()
     _WORKER_CONTEXTS.pop(spec, None)
     ctx = _context_for(spec)
-    sync_worker_metrics()
+    drain_worker_metrics()
     _work(ctx)
     delta = drain_worker_metrics()
     assert delta is not None and delta["counters"]["decompositions"] == 1

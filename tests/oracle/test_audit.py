@@ -1,17 +1,18 @@
 """End-to-end audit layer: a corrupted solver is caught, filed, replayed.
 
-The central acceptance scenario: register a deliberately lying max-flow
-solver, run real engine work through an audited context, and check the
-full pipeline -- certificate failure, counter bump, corpus record,
-:class:`AuditError` with the record path, and a replay that reproduces
-against the corrupted registry but comes back clean against the honest
-solvers.
+The central acceptance scenario: replace the engine's Dinic binding with a
+deliberately lying max-flow solver, run real engine work through an
+audited context, and check the full pipeline -- certificate failure,
+counter bump, corpus record, :class:`AuditError` with the record path, and
+a replay that reproduces while the lie is in place but comes back clean
+against the honest solver.
 """
 
 import pytest
 
+import repro.engine.context as engine_context
 from repro.core import bd_allocation, bottleneck_decomposition
-from repro.engine import SOLVERS, EngineContext, EngineSpec, SolverRegistry
+from repro.engine import EngineContext, EngineSpec
 from repro.exceptions import AuditError, EngineError
 from repro.graphs import ring
 from repro.numeric import FLOAT
@@ -25,33 +26,28 @@ from repro.oracle import (
 )
 
 
-def lying_registry(factor=2.0):
-    """The built-in registry with ``dinic`` replaced by a solver that
-    routes the flow correctly but reports ``factor`` times the true value."""
-    reg = SolverRegistry()
-    for name in SOLVERS.names():
-        entry = SOLVERS.get(name)
-        reg.register(name, entry.fn, supports_arc_flows=entry.supports_arc_flows)
-    honest = SOLVERS.get("dinic").fn
+def lie_about_max_flow(monkeypatch, factor=2.0):
+    """Replace the engine's Dinic binding with a solver that routes the
+    flow correctly but reports ``factor`` times the true value."""
+    honest = engine_context.dinic_max_flow
 
-    def lying(net, s, t, zero_tol):
+    def lying(net, s, t, zero_tol=0.0):
         return honest(net, s, t, zero_tol) * factor
 
-    reg.register("dinic", lying)
-    return reg
+    monkeypatch.setattr(engine_context, "dinic_max_flow", lying)
 
 
 @pytest.fixture
-def corrupted(tmp_path):
-    """An audited context whose default solver lies, filing into tmp."""
-    reg = lying_registry()
-    ctx = EngineContext(solver="dinic", cache_size=0, registry=reg)
+def corrupted(tmp_path, monkeypatch):
+    """An audited context whose Dinic lies, filing into tmp."""
+    lie_about_max_flow(monkeypatch)
+    ctx = EngineContext(cache_size=0)
     attach_auditor(ctx, level="cheap", corpus_dir=str(tmp_path / "corpus"))
-    return ctx, reg, FailureCorpus(tmp_path / "corpus")
+    return ctx, monkeypatch, FailureCorpus(tmp_path / "corpus")
 
 
 def test_corrupted_solver_is_caught_filed_and_replayable(corrupted):
-    ctx, reg, corpus = corrupted
+    ctx, liar, corpus = corrupted
     g = ring([1.0, 2.0, 3.0, 4.0, 5.0])
 
     with pytest.raises(AuditError) as err:
@@ -68,17 +64,18 @@ def test_corrupted_solver_is_caught_filed_and_replayable(corrupted):
     assert rec.context["solver"] == "dinic"
     assert any("cut" in p for p in rec.problems)
 
-    # replay against the corrupted registry: still broken
-    assert replay_record(rec, registry=reg).reproduced
-    # replay against the honest built-in solvers: the bug is "fixed"
+    # replay while the lie is in place: still broken
+    assert replay_record(rec).reproduced
+    # replay against the honest Dinic: the bug is "fixed"
+    liar.undo()
     assert not replay_record(rec).reproduced
     results = replay_corpus(corpus)
     assert [r.reproduced for _, r in results] == [False]
 
 
-def test_record_mode_harvests_without_raising(tmp_path):
-    reg = lying_registry()
-    ctx = EngineContext(solver="dinic", cache_size=0, registry=reg)
+def test_record_mode_harvests_without_raising(tmp_path, monkeypatch):
+    lie_about_max_flow(monkeypatch)
+    ctx = EngineContext(cache_size=0)
     attach_auditor(ctx, level="cheap", corpus_dir=str(tmp_path),
                    on_violation="record")
     g = ring([1.0, 2.0, 3.0])
@@ -111,10 +108,8 @@ def test_differential_layer_flags_value_disagreement():
     value = net_ctx.max_flow(net, 0, 2)
     wrong = value + 0.5
     problems, checks = differential_flow_problems(
-        net, 0, 2, wrong, 0.0,
-        solved_by=SOLVERS.get("dinic"), registry=SOLVERS, nx_node_limit=16,
-    )
-    assert checks >= 3  # two other solvers + networkx
+        net, 0, 2, wrong, 0.0, nx_node_limit=16)
+    assert checks >= 2  # Edmonds-Karp + networkx
     assert all("disagreement" in p for p in problems)
     assert len(problems) == checks  # every reference disputes the wrong value
 
@@ -139,7 +134,7 @@ def test_audit_config_validation_and_paranoid_sampling():
 
 
 def test_spec_carries_audit_config_across_rebuild(tmp_path):
-    ctx = EngineContext(solver="edmonds_karp", cache_size=4)
+    ctx = EngineContext(cache_size=4)
     attach_auditor(ctx, level="differential", corpus_dir=str(tmp_path))
     spec = ctx.spec()
     assert spec.audit == "differential"

@@ -13,18 +13,19 @@ from repro.numeric import FLOAT
 from repro.oracle import FailureCorpus, FailureRecord, attach_auditor, backend_to_dict
 from repro.oracle.cli import main as oracle_main
 
-from .test_audit import lying_registry
+from .test_audit import lie_about_max_flow
 
 
 @pytest.fixture
-def corpus_with_fixed_bug(tmp_path):
+def corpus_with_fixed_bug(tmp_path, monkeypatch):
     """A corpus holding one record from the lying-solver era: it replays
-    clean against today's honest solvers (i.e. the bug is fixed)."""
-    reg = lying_registry()
-    ctx = EngineContext(solver="dinic", cache_size=0, registry=reg)
+    clean against today's honest Dinic (i.e. the bug is fixed)."""
+    ctx = EngineContext(cache_size=0)
     attach_auditor(ctx, level="cheap", corpus_dir=str(tmp_path))
-    with pytest.raises(AuditError):
-        bottleneck_decomposition(ring([1.0, 2.0, 3.0]), FLOAT, ctx)
+    with monkeypatch.context() as liar:
+        lie_about_max_flow(liar)
+        with pytest.raises(AuditError):
+            bottleneck_decomposition(ring([1.0, 2.0, 3.0]), FLOAT, ctx)
     return tmp_path
 
 

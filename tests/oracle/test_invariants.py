@@ -13,7 +13,8 @@ from repro.core.allocation import Allocation
 from repro.core.bottleneck import BottleneckDecomposition
 from repro.attack import best_split
 from repro.attack.best_response import BestResponse
-from repro.engine import SOLVERS, EngineContext
+from repro.engine import EngineContext
+from repro.flow import dinic_max_flow
 from repro.flow.network import FlowNetwork
 from repro.graphs import path, ring
 from repro.numeric import EXACT, FLOAT
@@ -26,37 +27,28 @@ from repro.oracle import (
 )
 
 
-def _solved_diamond(solver="dinic"):
+def _solved_diamond():
     net = FlowNetwork(4)
     net.add_edge(0, 1, 3.0)
     net.add_edge(0, 2, 2.0)
     net.add_edge(1, 3, 2.0)
     net.add_edge(2, 3, 3.0)
-    entry = SOLVERS.get(solver)
-    value = entry.fn(net, 0, 3, 0.0)
-    return net, value, entry
+    value = dinic_max_flow(net, 0, 3, 0.0)
+    return net, value
 
 
 # -- flow certificates ------------------------------------------------------
 
 def test_honest_flow_has_no_problems():
-    net, value, entry = _solved_diamond()
+    net, value = _solved_diamond()
     assert flow_certificate_problems(net, 0, 3, value, 0.0) == []
 
 
 def test_wrong_value_breaks_both_cut_certificates():
-    net, value, _ = _solved_diamond()
+    net, value = _solved_diamond()
     problems = flow_certificate_problems(net, 0, 3, value * 2, 0.0)
     assert problems
     assert any("cut" in p for p in problems)
-
-
-def test_preflow_residuals_skip_arc_flow_axioms():
-    net, value, entry = _solved_diamond("push_relabel")
-    # cut certificates still apply to a maximum preflow; flow axioms do not
-    assert flow_certificate_problems(
-        net, 0, 3, value, 0.0, arc_flows_valid=entry.supports_arc_flows
-    ) == []
 
 
 # -- decomposition invariants ----------------------------------------------

@@ -1,15 +1,13 @@
 """Cross-solver min-cut agreement under adversarial capacity scaling.
 
-Regression guard for the push-relabel residual-dust snap: all three
-registered solvers must agree -- at ``zero_tol=0.0`` -- on the max-flow
-value *and* on both canonical min cuts (the minimal and the maximal source
-side of the residual lattice), even when every capacity is scaled far away
-from 1.  Before the snap, push-relabel could leave sub-ulp residual dust on
-saturated arcs, which flips residual reachability and hands back a
-different (non-minimal) cut than Dinic/Edmonds-Karp.
+Dinic and the Edmonds-Karp reference must agree -- at ``zero_tol=0.0`` --
+on the max-flow value *and* on both canonical min cuts (the minimal and
+the maximal source side of the residual lattice), even when every capacity
+is scaled far away from 1.  Sub-ulp residual dust on a saturated arc would
+flip residual reachability and hand back a different (non-minimal) cut.
 
 Capacities are integers times one shared adversarial scale.  The scale
-sweeps binary powers (exact in floats: pure exponent shifts, so all three
+sweeps binary powers (exact in floats: pure exponent shifts, so both
 solvers face identical rounding) and decimal powers (inexact: subtraction
 dust becomes possible, which is precisely the regression surface).
 """
@@ -18,11 +16,13 @@ import math
 
 from hypothesis import given, strategies as st
 
-from repro.engine import SOLVERS
+from repro.flow import dinic_max_flow, edmonds_karp_max_flow
 from repro.flow.mincut import cut_value, max_source_side, min_source_side
 from repro.flow.network import FlowNetwork
 
 REL_TOL = 1e-9
+
+SOLVERS = {"dinic": dinic_max_flow, "edmonds_karp": edmonds_karp_max_flow}
 
 # Binary scales are exact; decimal scales inject representation error.
 SCALES = [2.0 ** k for k in (-40, -12, 0, 13, 37)] + [1e-12, 1e-6, 1e9, 1e12]
@@ -54,10 +54,10 @@ def scaled_networks(draw):
 
 def _solve_all(net, s, t):
     out = {}
-    for name in SOLVERS.names():
+    for name, solver in SOLVERS.items():
         fresh = net.clone()
         fresh.reset()
-        value = SOLVERS.get(name).fn(fresh, s, t, 0.0)
+        value = solver(fresh, s, t, 0.0)
         out[name] = (value, fresh)
     return out
 
@@ -78,7 +78,7 @@ def test_all_solvers_agree_on_value_and_cuts_at_zero_tol(case):
     # *sets* -- not just their capacities -- must agree across solvers
     min_sides = {name: min_source_side(fresh, s) for name, (_, fresh) in results.items()}
     max_sides = {name: max_source_side(fresh, t) for name, (_, fresh) in results.items()}
-    for name in SOLVERS.names():
+    for name in SOLVERS:
         assert min_sides[name] == min_sides["dinic"], (
             f"{name} minimal cut {sorted(min_sides[name])} != "
             f"dinic {sorted(min_sides['dinic'])} (scale dust?)"

@@ -73,8 +73,6 @@ def test_policy_validation():
         RuntimePolicy(timeout=0.0)
     with pytest.raises(EngineError):
         RuntimePolicy(retries=-1)
-    with pytest.raises(EngineError):
-        RuntimePolicy(start_method="thread")
 
 
 def test_backoff_is_capped_exponential():
@@ -140,6 +138,17 @@ def test_parallel_preserves_submission_order():
     policy = RuntimePolicy(timeout=30.0)
     out = supervised_map(_uneven_sleep, items, processes=4, policy=policy)
     assert out == [x * x for x in items]
+
+
+def test_parallel_wakes_on_each_result():
+    # The supervisor blocks on the worker's pipe and sentinel instead of
+    # sleeping a fixed poll period per cell, so 20 trivial cells through
+    # one worker take milliseconds (a 20 ms poll alone would be 0.4 s).
+    start = time.monotonic()
+    out = supervised_map(_square, list(range(20)), processes=1)
+    elapsed = time.monotonic() - start
+    assert out == [x * x for x in range(20)]
+    assert elapsed < 0.2
 
 
 def test_parallel_injected_cell_fault_recovers_bit_identically():

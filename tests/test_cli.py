@@ -32,13 +32,12 @@ def test_run_unknown_experiment(capsys):
     assert "unknown experiment" in capsys.readouterr().err
 
 
-def test_run_with_solver_and_stats(capsys):
-    code = main(["run", "EXP-F1", "--scale", "smoke",
-                 "--solver", "edmonds_karp", "--stats"])
+def test_run_with_stats(capsys):
+    code = main(["run", "EXP-F1", "--scale", "smoke", "--stats"])
     assert code == 0
     out = capsys.readouterr().out
     assert "PASS" in out
-    assert "engine: solver=edmonds_karp" in out
+    assert "engine: backend=float" in out
     # the CLI context is installed as the run's default, so even experiments
     # without a ctx parameter route their solves (and counters) through it
     assert "flow calls=0" not in out
@@ -97,10 +96,10 @@ def test_parser_accepts_runtime_flags():
     args = build_parser().parse_args([
         "run", "EXP-T8", "--workers", "2", "--timeout", "30",
         "--retries", "3", "--checkpoint", "j.ckpt",
-        "--inject-faults", "cell:exc@3", "--start-method", "spawn",
+        "--inject-faults", "cell:exc@3",
     ])
     assert args.workers == 2 and args.timeout == 30.0 and args.retries == 3
-    assert args.checkpoint == "j.ckpt" and args.start_method == "spawn"
+    assert args.checkpoint == "j.ckpt" and args.inject_faults == "cell:exc@3"
 
 
 def test_parser_rejects_bad_start_method():
