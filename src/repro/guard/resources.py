@@ -18,12 +18,14 @@ host.  Three envelopes, all carried by
   enforced even on the serial path where rlimits cannot be applied
   (limiting the supervisor's own process would take down the host run).
 
-Rlimits are process-wide and irreversible downward, so they are applied
-only inside freshly spawned worker processes, never in the caller.
+Rlimits are process-wide, so they are applied only inside worker
+processes, never in the caller; a pooled worker re-applies its envelope
+at the start of every map.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from ..exceptions import EngineError, ResourceExhaustedError
@@ -61,33 +63,43 @@ def apply_rlimits(
 ) -> list[str]:
     """Apply rlimits to *this* process; returns the limits actually set.
 
-    Call only from a worker process that exists to run guarded cells --
-    rlimits cannot be raised back by an unprivileged process.  Limits the
-    platform refuses (or that ``resource`` cannot express) are skipped
-    rather than fatal: the typed-translation and size-cap layers still
-    hold, just without kernel enforcement.
+    Call only from a worker process that exists to run guarded cells.
+    Only the soft limits move, so a pooled worker can apply a fresh
+    envelope at the start of every map.  ``RLIMIT_CPU`` counts the
+    process's lifetime CPU time, so the CPU budget is measured from now:
+    the limit is the time already used, rounded up to a whole second,
+    plus the budget.  Limits the platform refuses (or that ``resource``
+    cannot express) are skipped rather than fatal: the typed-translation
+    and size-cap layers still hold, just without kernel enforcement.
     """
     applied: list[str] = []
     if _resource is None:
         return applied
     if max_memory_mb is not None:
         limit = int(max_memory_mb * 1024 * 1024)
-        try:
-            _resource.setrlimit(_resource.RLIMIT_AS, (limit, limit))
+        if _set_soft_limit(_resource.RLIMIT_AS, limit):
             applied.append(f"RLIMIT_AS={limit}")
-        except (ValueError, OSError):  # pragma: no cover - platform-dependent
-            pass
     if max_cpu_seconds is not None:
-        limit = max(1, int(max_cpu_seconds))
-        try:
-            # Identical soft and hard limits: the kernel sends SIGXCPU at
-            # the soft limit, whose default action already terminates the
-            # worker; the supervisor sees a crash and requeues the cell.
-            _resource.setrlimit(_resource.RLIMIT_CPU, (limit, limit))
+        usage = _resource.getrusage(_resource.RUSAGE_SELF)
+        limit = (math.ceil(usage.ru_utime + usage.ru_stime)
+                 + max(1, int(max_cpu_seconds)))
+        # The kernel sends SIGXCPU at the soft limit, whose default action
+        # terminates the worker; the supervisor sees a crash and requeues
+        # the cell.
+        if _set_soft_limit(_resource.RLIMIT_CPU, limit):
             applied.append(f"RLIMIT_CPU={limit}")
-        except (ValueError, OSError):  # pragma: no cover - platform-dependent
-            pass
     return applied
+
+
+def _set_soft_limit(which: int, limit: int) -> bool:
+    try:
+        _soft, hard = _resource.getrlimit(which)
+        if hard != _resource.RLIM_INFINITY:
+            limit = min(limit, hard)
+        _resource.setrlimit(which, (limit, hard))
+        return True
+    except (ValueError, OSError):  # pragma: no cover - platform-dependent
+        return False
 
 
 def envelope_from_policy(policy) -> Optional[tuple]:

@@ -16,6 +16,12 @@ Design constraints, in order:
   ``with`` protocol guarantees balanced enter/exit even when the body
   raises, and recursive re-entry of the same name simply extends the path
   (``"decompose/decompose"``) instead of corrupting shared state;
+* **concurrency-safe nesting** -- the open span is held in a per-tracer
+  :class:`contextvars.ContextVar`, which asyncio copies into every task
+  and which each thread starts empty, so spans of concurrent handlers are
+  siblings, never nested in one another.  The variable holds a chain of
+  parent-linked frames that is never re-linked, only replaced: a mutable
+  stack in it would be one object shared by every copied context;
 * **mergeable** -- snapshots are plain dicts of sums, so worker-side span
   statistics ship over a result queue and fold into the parent tracer with
   :meth:`Tracer.merge_snapshot` (the same protocol as
@@ -29,6 +35,8 @@ reporting time.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
+from itertools import count
 from time import perf_counter
 
 __all__ = ["Tracer", "SPAN_SEP"]
@@ -36,43 +44,60 @@ __all__ = ["Tracer", "SPAN_SEP"]
 #: Separator between nested span names in an aggregation path.
 SPAN_SEP = "/"
 
+_TRACER_IDS = count()
+
+
+class _Frame:
+    """One open span: its path, parent frame and start time, fixed at
+    creation, plus the wall time its closed children took so far."""
+
+    __slots__ = ("path", "start", "parent", "child_s")
+
+    def __init__(self, path: str, parent: "_Frame | None") -> None:
+        self.path = path
+        self.parent = parent
+        self.child_s = 0.0
+        self.start = perf_counter()
+
 
 class _Span:
     """One active span: a tiny hand-rolled context manager.
 
     Hand-rolled (rather than ``@contextmanager``) to keep the enabled-path
-    cost to two method calls and one list append/pop, and because
-    ``__exit__`` runs on *any* unwind -- a raising body can never leave the
-    tracer's stack unbalanced.
+    cost to two method calls and one context-variable set/reset, and
+    because ``__exit__`` runs on *any* unwind -- a raising body can never
+    leave the tracer's active frame behind.
     """
 
-    __slots__ = ("_tracer", "_name")
+    __slots__ = ("_tracer", "_name", "_frame", "_token")
 
     def __init__(self, tracer: "Tracer", name: str) -> None:
         self._tracer = tracer
         self._name = name
 
     def __enter__(self) -> "_Span":
-        t = self._tracer
-        stack = t._stack
-        path = stack[-1][0] + SPAN_SEP + self._name if stack else self._name
-        # frame: [path, start, child_seconds_accumulator]
-        stack.append([path, perf_counter(), 0.0])
+        active = self._tracer._active
+        parent = active.get()
+        path = (parent.path + SPAN_SEP + self._name if parent is not None
+                else self._name)
+        self._frame = _Frame(path, parent)
+        self._token = active.set(self._frame)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         t = self._tracer
-        path, start, child_s = t._stack.pop()
-        elapsed = perf_counter() - start
-        stats = t._spans.get(path)
+        frame = self._frame
+        elapsed = perf_counter() - frame.start
+        t._active.reset(self._token)
+        stats = t._spans.get(frame.path)
         if stats is None:
-            t._spans[path] = [1, elapsed, elapsed - child_s]
+            t._spans[frame.path] = [1, elapsed, elapsed - frame.child_s]
         else:
             stats[0] += 1
             stats[1] += elapsed
-            stats[2] += elapsed - child_s
-        if t._stack:
-            t._stack[-1][2] += elapsed
+            stats[2] += elapsed - frame.child_s
+        if frame.parent is not None:
+            frame.parent.child_s += elapsed
 
 
 class _NoopSpan:
@@ -100,11 +125,12 @@ class Tracer:
     directly.
     """
 
-    __slots__ = ("enabled", "_stack", "_spans")
+    __slots__ = ("enabled", "_active", "_spans")
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self._stack: list[list] = []
+        self._active: ContextVar[_Frame | None] = ContextVar(
+            f"repro_tracer_{next(_TRACER_IDS)}", default=None)
         self._spans: dict[str, list] = {}
 
     def span(self, name: str):
@@ -116,8 +142,11 @@ class Tracer:
 
     @property
     def depth(self) -> int:
-        """Number of currently-open spans (0 outside any span)."""
-        return len(self._stack)
+        """Number of spans open in the current context (0 outside any)."""
+        depth, frame = 0, self._active.get()
+        while frame is not None:
+            depth, frame = depth + 1, frame.parent
+        return depth
 
     def snapshot(self) -> dict:
         """``{path: {"count", "total_s", "self_s"}}`` for every closed span.
@@ -148,5 +177,5 @@ class Tracer:
 
     def reset(self) -> None:
         """Drop aggregated statistics (open spans keep timing correctly:
-        their frames live on the stack, not in the aggregates)."""
+        their frames live in the context, not in the aggregates)."""
         self._spans = {}

@@ -18,6 +18,8 @@ Four cooperating pieces:
   dead workers, retries retryable failures with capped exponential
   backoff, escalates exhausted numeric failures to the exact backend, and
   degrades to serial in-process execution when the pool is unrecoverable.
+  Its workers come from a :class:`WorkerPool`: a transient one per map, or
+  one a caller keeps open across maps (the serving layer's shards).
 * :class:`CheckpointJournal` (:mod:`repro.runtime.checkpoint`) -- the
   append-only, fsynced, bit-exact journal that lets a killed run resume
   without recomputing (or perturbing) completed cells.
@@ -47,13 +49,14 @@ from .faults import (
     parse_fault_spec,
 )
 from .policy import RuntimePolicy, resolve_policy
-from .supervisor import run_cell, supervised_map
+from .supervisor import WorkerPool, run_cell, supervised_map
 
 __all__ = [
     "RuntimePolicy",
     "resolve_policy",
     "supervised_map",
     "run_cell",
+    "WorkerPool",
     "CheckpointJournal",
     "open_journal",
     "encode_value",

@@ -19,23 +19,27 @@ recovery behaviors the ``full``-scale sweeps need to survive a night:
   supervisor falls back to guarded serial execution in-process rather
   than failing the sweep.
 
-Workers are forked ``multiprocessing.Process`` loops with one task queue
-and one result pipe **each**, so the supervisor always knows exactly
-which cell a dead or hung worker was holding and can requeue precisely
-that cell.  Per-worker result channels are load-bearing, not a
+Workers are forked ``multiprocessing.Process`` loops, each with one task
+pipe and one result pipe **of its own**, so the supervisor always knows
+exactly which cell a dead or hung worker was holding and can requeue
+precisely that cell.  Per-worker result channels are load-bearing, not a
 convenience: with a single shared result queue, a worker killed in the
 narrow window where its queue-feeder thread holds the shared write lock
 leaves that lock acquired forever, wedging every *other* worker's ``put``
 -- the whole pool stalls on one death.  Private pipes confine the damage
 to the dying worker's own channel, whose in-flight cell is requeued
-anyway; the supervisor closes its copy of the write end once the worker
-starts, so a worker killed mid-message reads as end-of-file.
+anyway; the supervisor closes its copy of each pipe's worker end once the
+worker starts, so a worker killed mid-message reads as end-of-file and a
+task sent to a dead worker fails with a broken pipe.
 The supervisor sleeps in :func:`multiprocessing.connection.wait` on the
 busy workers' pipes and process sentinels, so a result or a death wakes
 it at once.  Worker-side exceptions cross the pipe as metadata (never
 pickled exception objects), and an optional checkpoint journal records
 each completed cell durably, in completion order, keyed by submission
 index.
+
+Every map borrows its workers from a :class:`WorkerPool`: a transient one
+closed on return, or one the caller keeps open across maps.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ import sys
 import time
 from collections import deque
 from multiprocessing.connection import wait
-from typing import Callable, Optional, Sequence, TypeVar
+from typing import Callable, NamedTuple, Optional, Sequence, TypeVar
 
 from ..engine import Counters
 from ..exceptions import (
@@ -75,13 +79,14 @@ from ..obs.metrics import (
 from .checkpoint import CheckpointJournal
 from .faults import (
     FaultInjector,
+    clear_injector,
     current_injector,
     install_injector,
     parse_fault_spec,
 )
 from .policy import RuntimePolicy
 
-__all__ = ["supervised_map", "run_cell"]
+__all__ = ["WorkerPool", "supervised_map", "run_cell"]
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -193,19 +198,48 @@ def _bind_to_parent_death() -> None:
         os._exit(1)
 
 
-def _worker_main(task_q, result_conn, fn, fault_spec: Optional[str],
-                 envelope: Optional[tuple] = None,
-                 max_bruteforce_n: Optional[int] = None) -> None:
+class _Arm(NamedTuple):
+    """One map's worker-side set-up.  A worker forked during the map takes
+    it as a fork argument (so ``fn`` is never pickled); a live pooled
+    worker receives it as a message when the map starts."""
+
+    fn: Callable
+    faults: Optional[str]
+    envelope: Optional[tuple]
+    max_bruteforce_n: Optional[int]
+
+
+def _arm_worker(arm: _Arm, injector):
+    """Start a map in this worker; returns ``(fn, injector)``.  Fault
+    rules fire once per injector, so a fresh one per map is what makes a
+    schedule recur map after map, as it would with a fork per map."""
+    if arm.envelope is not None:
+        apply_rlimits(*arm.envelope)
+    if arm.max_bruteforce_n is not None:
+        set_bruteforce_limit(arm.max_bruteforce_n)
+    if arm.faults:
+        injector = install_injector(parse_fault_spec(arm.faults),
+                                    in_worker=True)
+    elif injector is not None:
+        clear_injector()
+        injector = None
+    return arm.fn, injector
+
+
+def _worker_main(task_conn, result_conn, arm: Optional[_Arm]) -> None:
     """Worker loop: pull ``(index, attempt, item)``, push results/failures.
 
-    Each worker process installs its own injector from the picklable spec
-    string (worker state never crosses the process boundary), so
-    index-keyed rules fire deterministically on whichever worker draws the
-    matching cell.  ``None`` is the shutdown sentinel.
+    ``arm`` (or a later :class:`_Arm` message) sets the worker up for a
+    map: the cell function, the resource envelope, the brute-force cap and
+    the fault plan.  Each worker builds its own injector from the
+    picklable spec string (worker state never crosses the process
+    boundary), so index-keyed rules fire deterministically on whichever
+    worker draws the matching cell.  ``None`` or a closed task pipe is the
+    shutdown signal.
 
-    ``envelope`` is the picklable ``(max_memory_mb, max_cpu_seconds)``
-    resource envelope: applied via ``setrlimit`` before any cell runs, so
-    a memory-ballooning cell fails with a catchable ``MemoryError``
+    The envelope is the picklable ``(max_memory_mb, max_cpu_seconds)``
+    pair, applied via ``setrlimit`` before the map's first cell, so a
+    memory-ballooning cell fails with a catchable ``MemoryError``
     (reported as a typed ``ResourceExhaustedError``) instead of the kernel
     OOM-killing the worker, and a CPU-runaway cell is killed by the kernel
     at the CPU budget (surfacing as a crash the supervisor requeues).
@@ -219,17 +253,22 @@ def _worker_main(task_q, result_conn, fn, fault_spec: Optional[str],
     flat dict otherwise, preserving the atomic-pipe-write size assumption.
     """
     _bind_to_parent_death()
-    if envelope is not None:
-        apply_rlimits(*envelope)
-    if max_bruteforce_n is not None:
-        set_bruteforce_limit(max_bruteforce_n)
-    injector = None
-    if fault_spec:
-        injector = install_injector(parse_fault_spec(fault_spec), in_worker=True)
+    # Work the parent had not yet drained when it forked is the parent's
+    # to report: start this worker's marks from the inherited totals.
+    drain_worker_metrics()
+    fn = injector = None
+    if arm is not None:
+        fn, injector = _arm_worker(arm, injector)
     while True:
-        msg = task_q.get()
+        try:
+            msg = task_conn.recv()
+        except EOFError:
+            return
         if msg is None:
             return
+        if isinstance(msg, _Arm):
+            fn, injector = _arm_worker(msg, injector)
+            continue
         index, attempt, item = msg
         try:
             if injector is not None:
@@ -264,6 +303,138 @@ def _decode_failure(meta: dict) -> RemoteCellError:
 
 
 # ---------------------------------------------------------------------------
+# worker pool
+# ---------------------------------------------------------------------------
+
+class WorkerPool:
+    """Forked worker processes that serve supervised maps, one at a time.
+
+    :func:`supervised_map` builds a transient pool per call and closes it
+    on return.  A caller that maps again and again (the serving layer
+    keeps one pool per shard) opens a pool once and lends it to each map
+    with ``pool=``; its workers, and whatever they memoize, then outlive
+    the map.  Each map re-arms every live worker and replaces the dead
+    ones, so a cell cannot tell a pooled worker from a fresh fork: it
+    sees the map's function, a fresh fault injector and a CPU budget
+    counted from the map's start.  A map that sets other process-wide
+    limits (rlimits, the brute-force cap) than the last one starts on
+    fresh workers, since arming never restores the inherited limits.
+
+    :meth:`close` stops every worker; the pool is also a context manager.
+    """
+
+    def __init__(self, processes: int) -> None:
+        if processes < 1:
+            raise ValueError(f"a worker pool needs >= 1 process, got {processes}")
+        self.processes = processes
+        #: wid -> (Process, task_conn, result_conn)
+        self.workers: dict[int, tuple] = {}
+        #: True once :meth:`open` started the full complement: a worker
+        #: started after that replaces one that died or was killed.
+        self.opened = False
+        self._arm: Optional[_Arm] = None
+        self._next_wid = 0
+        self._mctx = mp.get_context("fork")
+
+    def __enter__(self) -> "WorkerPool":
+        return self.open()
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
+
+    def open(self) -> "WorkerPool":
+        """Start the pool's workers now, ahead of its first map."""
+        self.opened = True
+        for _ in range(self.processes - len(self.workers)):
+            self.spawn()
+        return self
+
+    def pids(self) -> list[int]:
+        """The live workers' process ids (safe to read from any thread)."""
+        return [entry[0].pid for entry in list(self.workers.values())]
+
+    def spawn(self) -> Optional[int]:
+        """Fork one worker armed for the current map; ``None`` if the
+        fork failed."""
+        wid = self._next_wid
+        self._next_wid += 1
+        worker_tasks, task_conn = self._mctx.Pipe(duplex=False)
+        result_conn, worker_results = self._mctx.Pipe(duplex=False)
+        proc = self._mctx.Process(
+            target=_worker_main,
+            args=(worker_tasks, worker_results, self._arm),
+            daemon=True,
+        )
+        try:
+            proc.start()
+        except OSError:
+            task_conn.close()
+            result_conn.close()
+            return None
+        finally:
+            # Only the worker may hold its ends: its death must read as
+            # end-of-file on result_conn and a broken pipe on task_conn.
+            worker_tasks.close()
+            worker_results.close()
+        self.workers[wid] = (proc, task_conn, result_conn)
+        return wid
+
+    def kill(self, wid: int) -> None:
+        """Stop one worker (SIGTERM, then SIGKILL) and drop its pipes."""
+        proc, task_conn, result_conn = self.workers.pop(wid)
+        if proc.is_alive():
+            proc.terminate()
+            proc.join(timeout=1.0)
+            if proc.is_alive():
+                proc.kill()
+                proc.join(timeout=1.0)
+        task_conn.close()
+        result_conn.close()
+
+    def begin_map(self, arm: _Arm) -> int:
+        """Arm the live workers for a new map and reap the dead ones.
+
+        Returns how many workers the pool lacks; the supervisor starts
+        them, armed through :meth:`spawn`.  A send to a worker that died
+        idle fails with a broken pipe, so it is reaped here rather than
+        costing the map a retry.
+        """
+        old = self._arm
+        if old is not None and (old.envelope, old.max_bruteforce_n) != (
+                arm.envelope, arm.max_bruteforce_n):
+            # Arming sets process-wide limits but never restores the
+            # inherited ones: other limits need fresh workers.
+            self.close()
+            self._arm = arm
+            self.open()
+            return self.processes - len(self.workers)
+        self._arm = arm
+        for wid, (proc, task_conn, _) in list(self.workers.items()):
+            try:
+                if proc.is_alive():
+                    task_conn.send(arm)
+                    continue
+            except OSError:
+                pass
+            self.kill(wid)
+        return self.processes - len(self.workers)
+
+    def close(self) -> None:
+        """Stop every worker -- no orphans, even on KeyboardInterrupt."""
+        for proc, task_conn, _ in self.workers.values():
+            if proc.is_alive():
+                try:
+                    task_conn.send(None)
+                except OSError:
+                    pass
+        deadline = time.monotonic() + 0.5
+        for proc, _, _ in self.workers.values():
+            proc.join(timeout=max(0.0, deadline - time.monotonic()))
+        for wid in list(self.workers):
+            self.kill(wid)
+
+
+# ---------------------------------------------------------------------------
 # supervisor side
 # ---------------------------------------------------------------------------
 
@@ -283,6 +454,7 @@ class _Supervisor:
         tracer=None,
         deadlines: Optional[list] = None,
         on_deadline=None,
+        pool: Optional[WorkerPool] = None,
     ) -> None:
         self.fn = fn
         self.items = list(items)
@@ -300,63 +472,43 @@ class _Supervisor:
         self.results: dict[int, object] = {}
         self.pending: deque[tuple[float, int, int]] = deque()  # (ready_at, idx, attempt)
         self.inflight: dict[int, tuple[int, int, float]] = {}  # wid -> (idx, attempt, deadline)
-        self.workers: dict[int, tuple] = {}  # wid -> (Process, task_q, result_conn)
-        self.mctx = mp.get_context("fork")
         self.processes = processes
-        self._next_wid = 0
+        #: The borrowed pool, or ``None`` until run() builds a transient one.
+        self.pool = pool
+        self._owns_pool = pool is None
         self._deaths_since_progress = 0
         self._degraded = False
 
     # -- worker lifecycle -------------------------------------------------
+    @property
+    def workers(self) -> dict:
+        return self.pool.workers
+
     def _spawn_worker(self) -> Optional[int]:
-        wid = self._next_wid
-        self._next_wid += 1
-        task_q = self.mctx.Queue()
-        result_conn, worker_conn = self.mctx.Pipe(duplex=False)
-        proc = self.mctx.Process(
-            target=_worker_main,
-            args=(task_q, worker_conn, self.fn, self.policy.faults,
-                  envelope_from_policy(self.policy),
-                  self.policy.max_bruteforce_n),
-            daemon=True,
-        )
-        try:
-            proc.start()
-        except OSError:
-            result_conn.close()
-            return None
-        finally:
-            # Only the worker may hold the write end: its death must read
-            # as end-of-file on result_conn.
-            worker_conn.close()
-        self.workers[wid] = (proc, task_q, result_conn)
-        return wid
+        return self.pool.spawn()
 
     def _kill_worker(self, wid: int) -> None:
-        proc, task_q, result_conn = self.workers.pop(wid)
-        if proc.is_alive():
-            proc.terminate()
-            proc.join(timeout=1.0)
-            if proc.is_alive():
-                proc.kill()
-                proc.join(timeout=1.0)
-        task_q.close()
-        task_q.cancel_join_thread()
-        result_conn.close()
+        self.pool.kill(wid)
         self.inflight.pop(wid, None)
 
+    def _respawn(self) -> None:
+        """Replace a worker lost mid-map while the map still has work for
+        it, or at once when the pool outlives the map (so the next map
+        does not wait on the fork)."""
+        if (len(self.workers) < self.pool.processes
+                and not self._pool_unrecoverable()
+                and (self.pending or self.inflight or not self._owns_pool)):
+            if self._spawn_worker() is not None:
+                self.counters.worker_respawns += 1
+
     def _shutdown(self) -> None:
-        """Tear down every worker -- no orphans, even on KeyboardInterrupt."""
-        for wid, (proc, task_q, _) in list(self.workers.items()):
-            if proc.is_alive():
-                try:
-                    task_q.put_nowait(None)
-                except Exception:
-                    pass
-        deadline = time.monotonic() + 0.5
-        for proc, _, _ in self.workers.values():
-            proc.join(timeout=max(0.0, deadline - time.monotonic()))
-        for wid in list(self.workers):
+        """Close a transient pool.  A borrowed pool keeps its idle workers
+        but loses any still holding a cell of this map (the map ended on
+        an error): that cell's late result must not reach the next map."""
+        if self._owns_pool:
+            self.pool.close()
+            return
+        for wid in list(self.inflight):
             self._kill_worker(wid)
 
     # -- completion helpers -----------------------------------------------
@@ -416,9 +568,7 @@ class _Supervisor:
         self._kill_worker(wid)
         self._deaths_since_progress += 1
         self._handle_failure(idx, attempt, exc)
-        if len(self.workers) < self.processes and not self._pool_unrecoverable():
-            if self._spawn_worker() is not None:
-                self.counters.worker_respawns += 1
+        self._respawn()
 
     def _pool_unrecoverable(self) -> bool:
         return self._deaths_since_progress > self.policy.max_pool_failures
@@ -464,17 +614,22 @@ class _Supervisor:
         if not self.pending:
             return [self.results[i] for i in range(n)]
 
-        spawned = 0
-        want = min(self.processes, len(self.pending))
-        for _ in range(want):
-            if self._spawn_worker() is not None:
-                spawned += 1
-        if spawned == 0:
-            # Could not start a single worker: degrade immediately.
-            self._degrade_to_serial()
-            return [self.results[i] for i in range(n)]
-
+        if self.pool is None:
+            self.pool = WorkerPool(max(1, min(self.processes, len(self.pending))))
+        # In an opened pool, every worker started now replaces one that
+        # died or was killed since the last map.
+        replacing = self.pool.opened
         try:
+            arm = _Arm(self.fn, self.policy.faults,
+                       envelope_from_policy(self.policy),
+                       self.policy.max_bruteforce_n)
+            for _ in range(self.pool.begin_map(arm)):
+                if self._spawn_worker() is not None and replacing:
+                    self.counters.worker_respawns += 1
+            if not self.workers:
+                # Could not start a single worker: degrade immediately.
+                self._degrade_to_serial()
+                return [self.results[i] for i in range(n)]
             while len(self.results) < n and not self._degraded:
                 self._assign_ready_work()
                 self._drain_results()
@@ -489,7 +644,7 @@ class _Supervisor:
         if not self.pending:
             return
         now = time.monotonic()
-        for wid, (proc, task_q, _) in list(self.workers.items()):
+        for wid, (proc, task_conn, _) in list(self.workers.items()):
             # Settle any head-of-queue cells whose budget already ran out:
             # assigning them would only burn a worker on unwanted work.
             while self.pending:
@@ -512,16 +667,14 @@ class _Supervisor:
             if cd is not None:
                 deadline = min(deadline, cd)
             try:
-                task_q.put((idx, attempt, self.items[idx]))
+                task_conn.send((idx, attempt, self.items[idx]))
             except Exception:
                 # Broken pipe to this worker: put the cell back, replace the
                 # worker, and let the next loop iteration reassign.
                 self.pending.appendleft((ready_at, idx, attempt))
                 self._kill_worker(wid)
                 self._deaths_since_progress += 1
-                if not self._pool_unrecoverable():
-                    if self._spawn_worker() is not None:
-                        self.counters.worker_respawns += 1
+                self._respawn()
                 return
             self.inflight[wid] = (idx, attempt, deadline)
 
@@ -598,10 +751,7 @@ class _Supervisor:
                 self._drain_worker(wid)
                 if wid not in self.inflight:
                     self._kill_worker(wid)
-                    if (len(self.workers) < self.processes
-                            and (self.pending or self.inflight)):
-                        if self._spawn_worker() is not None:
-                            self.counters.worker_respawns += 1
+                    self._respawn()
                     continue
                 self._requeue_infra_failure(wid, WorkerCrashError(
                     f"worker died while computing cell {idx} "
@@ -616,10 +766,7 @@ class _Supervisor:
                     # shard did nothing wrong.
                     self._kill_worker(wid)
                     self._expire(idx)
-                    if (len(self.workers) < self.processes
-                            and (self.pending or self.inflight)):
-                        if self._spawn_worker() is not None:
-                            self.counters.worker_respawns += 1
+                    self._respawn()
                     continue
                 self.counters.cell_timeouts += 1
                 self._requeue_infra_failure(wid, WorkerTimeoutError(
@@ -639,15 +786,22 @@ def supervised_map(
     tracer=None,
     budgets: Optional[Sequence[Optional[float]]] = None,
     on_deadline: Optional[Callable[[T], R]] = None,
+    pool: Optional[WorkerPool] = None,
 ) -> list[R]:
     """Fault-tolerant, order-preserving map over ``items``.
 
     ``processes <= 0`` runs serially in-process (cells still get the full
     retry/escalation treatment, with kill/hang faults simulated as the
-    errors the supervisor would synthesize).  ``fn`` and the items must be
-    picklable for the parallel path; ``escalate_fn`` runs in the
-    supervisor process.  ``key_fn`` maps a submission index to a stable
-    journal key (defaults to ``str(index)``).
+    errors the supervisor would synthesize).  The items must be picklable
+    for the parallel path; ``escalate_fn`` runs in the supervisor process.
+    ``key_fn`` maps a submission index to a stable journal key (defaults
+    to ``str(index)``).
+
+    ``pool`` lends the map a :class:`WorkerPool` in place of the transient
+    one it would build: ``processes`` is then ignored, every cell -- a
+    lone one included -- runs in the pool's workers, and they stay up when
+    the map returns.  ``fn`` must be picklable too, since it reaches
+    already-running workers through their task pipes.
 
     ``budgets`` propagates per-cell *deadline budgets* (seconds of wall
     clock remaining, measured from map entry; ``None`` entries are
@@ -694,10 +848,10 @@ def supervised_map(
     try:
         # A single item normally short-circuits to the serial path, but a
         # resource envelope can only be enforced inside a real worker process
-        # (setrlimit is irreversible and process-wide, so it must never touch
-        # the host): honor the envelope even for one cell.
+        # (setrlimit is process-wide, so it must never touch the host):
+        # honor the envelope even for one cell.
         serial_single = len(items) <= 1 and envelope_from_policy(policy) is None
-        if processes <= 0 or serial_single:
+        if pool is None and (processes <= 0 or serial_single):
             # An explicitly installed injector wins (the CLI's global
             # --inject-faults path); otherwise honor policy.faults with a
             # map-local injector, mirroring how each worker process builds
@@ -734,7 +888,8 @@ def supervised_map(
 
         sup = _Supervisor(fn, items, processes, policy, counters,
                           escalate_fn, journal, key_fn, tracer=tracer,
-                          deadlines=deadlines, on_deadline=on_deadline)
+                          deadlines=deadlines, on_deadline=on_deadline,
+                          pool=pool)
         return sup.run()
     finally:
         try:

@@ -86,7 +86,8 @@ def _add_server_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--port", type=int, default=0,
                    help="listen port (0 = ephemeral, printed at startup)")
     p.add_argument("--shards", type=int, default=2,
-                   help="worker shard processes (0 = solve in-process)")
+                   help="shards, one long-lived worker process each "
+                        "(0 = solve in-process)")
     p.add_argument("--batch-max", type=int, default=16)
     p.add_argument("--linger", type=float, default=2.0, metavar="MS",
                    help="batching window in milliseconds")

@@ -514,10 +514,11 @@ def build_chaos_spec(seed: int) -> str:
     (:mod:`repro.runtime.faults`): a worker kill (hard ``os._exit``), a
     slow-shard stall (``cell:delay``), a retryable cell crash, and a
     numeric fault that drives the precision-escalation ladder.  Fault
-    rules fire per supervised dispatch (each flush installs a fresh
-    injector), so the schedule recurs across the whole burst rather than
-    firing once -- and because the positions come from one seeded
-    generator, two runs of the same seed replay the identical schedule.
+    rules fire per supervised dispatch (each shard worker's injector is
+    re-armed per map), so the schedule recurs across the whole burst
+    rather than firing once -- and because the positions come from one
+    seeded generator, two runs of the same seed replay the identical
+    schedule.
     """
     rng = np.random.default_rng(seed + 20_260_809)
     clauses = [

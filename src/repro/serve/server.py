@@ -10,7 +10,7 @@ and a single batcher task.  The life of a solve request::
                                    v           v        or linger expiry
                                 respond <-- future <-- shard by sha256(key)
                                                          |
-                                            supervised_map per shard
+                                   supervised_map on the shard's worker pool
                                         (timeouts/retries/escalation/faults)
 
 Design points, each load-bearing:
@@ -25,15 +25,21 @@ Design points, each load-bearing:
   ``cache_size=0``: coalescing makes solve counts depend on arrival
   timing, and the ``cache_size=0`` contract is that counter totals are a
   pure function of the request stream.
-* **One batcher, per-flush dispatch.**  Unique instances accumulate until
-  ``batch_max`` or the ``linger`` window expires (truncated to the
+* **One batcher, persistent shard workers.**  Unique instances accumulate
+  until ``batch_max`` or the ``linger`` window expires (truncated to the
   earliest deadline in the batch -- a request about to expire never waits
   out a linger it cannot afford), then the flush is partitioned by
   ``sha256(key) % shards`` and each shard runs a
-  :func:`repro.runtime.supervised_map` (its own worker process, the full
-  timeout/retry/escalate/fault ladder) on an executor thread.  Shards of
-  one flush run concurrently; the batcher does not pull new work until the
-  flush lands, and admission control bounds what can accumulate behind it.
+  :func:`repro.runtime.supervised_map` (the full
+  timeout/retry/escalate/fault ladder) on an executor thread.  Every shard
+  owns a one-worker :class:`~repro.runtime.WorkerPool`, started with the
+  server and stopped at shutdown, and each map borrows it: every cell of
+  a flush, a lone one included, solves in that long-lived worker, which
+  the map re-arms as if freshly forked and the supervisor kills and
+  replaces when it dies, hangs or exhausts its envelope -- idle between
+  flushes included.  Shards of one flush run concurrently; the batcher
+  does not pull new work until the flush lands, and admission control
+  bounds what can accumulate behind it.
 * **Overload semantics** (:mod:`repro.serve.resilience`).  The intake
   queue is bounded (``queue_cap``): a request that would overflow it is
   *shed* with a typed ``overloaded`` envelope carrying a
@@ -69,7 +75,7 @@ from typing import Optional
 from ..engine import Counters, EngineContext, EngineSpec
 from ..exceptions import DurabilityError, ReproError, ShutdownTimeoutError
 from ..obs.tracer import Tracer
-from ..runtime import RuntimePolicy, supervised_map
+from ..runtime import RuntimePolicy, WorkerPool, supervised_map
 
 # Imported for its side effect: forked shard workers resolve
 # repro.analysis.parallel._context_for on their first cell, and loading it
@@ -128,9 +134,10 @@ class ServeConfig:
     response cache, request coalescing, and (via ``spec.with_cache``) the
     per-worker decomposition cache -- ``0`` means counter totals are
     exactly reproducible for a given request stream, independent of
-    sharding and timing.  ``shards=0`` solves in-process on the serial
-    supervised path (no worker processes; same retry/escalation ladder) --
-    the debugging mode.
+    sharding and timing.  ``shards`` is the number of worker processes:
+    one long-lived worker per shard, started with the server.
+    ``shards=0`` solves in-process on the serial supervised path (no
+    worker processes; same retry/escalation ladder) -- the debugging mode.
     """
 
     host: str = "127.0.0.1"
@@ -222,7 +229,7 @@ class AllocationServer:
         self.spec = config.effective_spec()
         # One tagged spec per shard: cells of shard i always solve on a
         # context memoized under spec i, so concurrent shard dispatches
-        # (including the serial single-cell short-circuit, which runs in
+        # (including the breaker's serial and exact rungs, which run in
         # *this* process) each accumulate onto their own metrics-drain
         # source and stay individually attributable.
         self.shard_specs = [
@@ -244,6 +251,9 @@ class AllocationServer:
             ShardBreaker(i, config.breaker_config())
             for i in range(max(config.shards, 1))
         ]
+        #: One single-worker pool per shard (none with ``shards=0``),
+        #: opened in start() and closed in shutdown().
+        self._pools: list[WorkerPool] = []
         self._queue: asyncio.Queue = asyncio.Queue()
         self._inflight: dict[bytes, _Cell] = {}
         self._open: set = set()  # every unresolved cell future (drain waits)
@@ -270,14 +280,23 @@ class AllocationServer:
     # -- lifecycle -------------------------------------------------------
 
     async def start(self) -> None:
-        if self.config.durability is not None:
-            self._open_durability(self.config.durability.validated())
-        self._server = await asyncio.start_server(
-            self._handle_conn,
-            self.config.host,
-            self.config.port,
-            limit=MAX_LINE_BYTES,
-        )
+        # Workers fork before the journal opens and the listener binds, so
+        # they hold neither descriptor (a respawned worker does; it is
+        # bound to this process's death, see repro.runtime.supervisor).
+        self._pools = [WorkerPool(1).open()
+                       for _ in range(self.config.shards)]
+        try:
+            if self.config.durability is not None:
+                self._open_durability(self.config.durability.validated())
+            self._server = await asyncio.start_server(
+                self._handle_conn,
+                self.config.host,
+                self.config.port,
+                limit=MAX_LINE_BYTES,
+            )
+        except BaseException:
+            self._close_pools()
+            raise
         loop = asyncio.get_running_loop()
         self._batcher_task = loop.create_task(self._batcher())
         if self._journal is not None:
@@ -369,6 +388,7 @@ class AllocationServer:
         await self._queue.put(None)  # batcher shutdown sentinel
         if self._batcher_task is not None:
             await self._batcher_task
+        self._close_pools()  # no flush can borrow a worker any more
         if self._snapshot_task is not None:
             self._snapshot_task.cancel()
             try:
@@ -395,6 +415,10 @@ class AllocationServer:
             if pending:
                 await asyncio.wait(pending)
         self._closed.set()
+
+    def _close_pools(self) -> None:
+        for pool in self._pools:
+            pool.close()
 
     async def drain(self) -> None:
         """Wait until every accepted solve has a resolved result.
@@ -464,6 +488,8 @@ class AllocationServer:
         }
         out["response_cache"] = self.cache.stats()
         out["admission"] = self.admission.stats()
+        out["workers"] = {str(sid): next(iter(pool.pids()), None)
+                          for sid, pool in enumerate(self._pools)}
         out["restarts"] = self.restarts
         if self.config.durability is not None:
             age = (None if self._snapshot_time is None
@@ -817,25 +843,25 @@ class AllocationServer:
         """Executor-thread entry: one supervised map over a shard's cells.
 
         ``shards=0`` runs the serial in-process path (``processes=0``);
-        otherwise each shard gets one worker process per flush, so the
-        resource envelope / timeout / kill-recovery machinery is live and a
-        worker death costs one shard's retry, not the server.  Breaker
-        brownouts override the mode: ``serial`` drops the worker process
-        (nothing left to kill), ``exact`` additionally skips the failing
-        float attempts and solves straight on the ``Fraction`` backend.
-        Per-cell deadline budgets flow into the map; an expired cell
-        settles as a ``DeadlineExceededError`` marker via
+        otherwise the map borrows the shard's long-lived worker, so the
+        resource envelope / timeout / kill-recovery machinery is live for
+        every cell and a worker death costs one shard's retry, not the
+        server.  Breaker brownouts override the mode: ``serial`` solves in
+        this process (nothing left to kill), ``exact`` additionally skips
+        the failing float attempts and solves straight on the ``Fraction``
+        backend.  Per-cell deadline budgets flow into the map; an expired
+        cell settles as a ``DeadlineExceededError`` marker via
         :func:`deadline_marker` instead of failing its batch.
         """
         counters = Counters()
         tracer = Tracer(enabled=True)
-        processes = 0 if self.config.shards <= 0 else 1
+        pool = self._pools[sid] if self._pools else None
         fn = solve_cell
         escalate = solve_cell_exact
         if mode == MODE_SERIAL:
-            processes = 0
+            pool = None
         elif mode == MODE_EXACT:
-            processes = 0
+            pool = None
             fn = solve_cell_exact
             escalate = None
         items = [(self.shard_specs[sid], cell.canon_dict) for cell in cells]
@@ -845,13 +871,13 @@ class AllocationServer:
             results = supervised_map(
                 fn,
                 items,
-                processes=processes,
                 policy=self.policy,
                 counters=counters,
                 escalate_fn=escalate,
                 tracer=tracer,
                 budgets=budgets,
                 on_deadline=deadline_marker,
+                pool=pool,
             )
             return results, None, counters, tracer
         except Exception as exc:

@@ -110,3 +110,30 @@ def test_spec_rebuild_registers_for_draining():
     delta = drain_worker_metrics()
     assert delta is not None and delta["counters"]["decompositions"] == 1
     _WORKER_CONTEXTS.pop(spec, None)
+
+
+def _square(x):
+    return x * x
+
+
+def test_forked_worker_does_not_report_parent_work():
+    # A sibling map's session is open and its in-process cell did work it
+    # has not drained yet when this map forks its worker.  That work is
+    # the parent's to report, once: the worker must not ship it again.
+    from repro.engine import Counters
+    from repro.obs.metrics import begin_metrics_session, end_metrics_session
+    from repro.runtime import supervised_map
+
+    ctx = EngineContext(cache_size=0)
+    register_worker_context(ctx)
+    drain_worker_metrics()
+    begin_metrics_session()
+    try:
+        _work(ctx)
+        pending = ctx.counters.decompositions
+        counters = Counters()
+        assert supervised_map(_square, [2, 3], processes=1,
+                              counters=counters) == [4, 9]
+    finally:
+        end_metrics_session()
+    assert counters.decompositions == pending == 1

@@ -1,5 +1,6 @@
 """Tracer: hierarchical paths, exception safety, aggregation, merging."""
 
+import asyncio
 import time
 
 import pytest
@@ -123,3 +124,32 @@ def test_context_with_tracer_routes_spans():
 
 def test_stats_spans_empty_without_tracer():
     assert EngineContext().stats()["spans"] == {}
+
+
+def test_interleaved_asyncio_tasks_record_sibling_paths():
+    # Task b opens and closes its span while task a's span is open across
+    # an await: each task sees only its own open spans, so b is a
+    # sibling of a, never "a/b".
+    t = Tracer()
+
+    async def main():
+        a_open, b_done = asyncio.Event(), asyncio.Event()
+
+        async def a():
+            with t.span("a"):
+                a_open.set()
+                await b_done.wait()
+
+        async def b():
+            await a_open.wait()
+            with t.span("b"):
+                await asyncio.sleep(0)
+            b_done.set()
+
+        await asyncio.gather(a(), b())
+
+    asyncio.run(main())
+    snap = t.snapshot()
+    assert set(snap) == {"a", "b"}
+    assert snap["a"]["total_s"] >= snap["b"]["total_s"]
+    assert t.depth == 0

@@ -197,10 +197,10 @@ def test_breaker_walks_ladder_to_cache_only_fastfail():
             finally:
                 c.close()
 
-        # Two concurrent requests per round: a single-cell flush solves on
-        # the in-process serial path (no worker to kill), so rounds must
-        # batch >= 2 cells for the kill fault -- and hence the breaker's
-        # bad-dispatch signal -- to engage at all.
+        # Two concurrent requests per round.  Every normal-mode cell, a
+        # lone one included, solves in the shard's worker, so the kill
+        # fault -- and hence the breaker's bad-dispatch signal -- engages
+        # on every flush, whether it batches one cell or both.
         for r in range(0, len(graphs), 2):
             pair = [threading.Thread(target=one, args=(r + j, graphs[r + j]))
                     for j in range(2)]
