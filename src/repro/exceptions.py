@@ -291,9 +291,9 @@ class DeadlineExceededError(ServeError):
     """A request's ``deadline_ms`` budget expired before a result landed.
 
     Raised server-side when the propagated deadline runs out anywhere in
-    the ladder (queue wait, batch linger, supervised solve incl. retries)
-    and client-side by :class:`repro.serve.client.ResilientClient` when
-    the overall budget is exhausted across retries.  Not retryable: by
+    the ladder (queue wait, supervised solve incl. retries) and
+    client-side by :class:`repro.serve.client.ResilientClient` when the
+    overall budget is exhausted across retries.  Not retryable: by
     construction there is no time left to retry in.
     """
 

@@ -2,7 +2,7 @@
 
 Seven subcommands::
 
-    repro-serve serve [--port P] [--shards N] [--batch-max K] [--linger MS]
+    repro-serve serve [--port P] [--shards N] [--batch-max K]
                       [--cache-size N] [--timeout S] [--retries N]
                       [--inject-faults SPEC] [--queue-cap N]
                       [--deadline-ms MS] [--breaker-threshold N]
@@ -88,9 +88,8 @@ def _add_server_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--shards", type=int, default=2,
                    help="shards, one long-lived worker process each "
                         "(0 = solve in-process)")
-    p.add_argument("--batch-max", type=int, default=16)
-    p.add_argument("--linger", type=float, default=2.0, metavar="MS",
-                   help="batching window in milliseconds")
+    p.add_argument("--batch-max", type=int, default=16,
+                   help="most queued cells one shard dispatch takes")
     p.add_argument("--cache-size", type=int, default=1024,
                    help="response/decomposition cache size (0 disables "
                         "caching AND coalescing for deterministic counters)")
@@ -147,8 +146,7 @@ def _serve_config(args: argparse.Namespace) -> ServeConfig:
             snapshot_interval_s=args.snapshot_interval).validated()
     return ServeConfig(
         host=args.host, port=args.port, shards=args.shards,
-        batch_max=args.batch_max, linger_ms=args.linger,
-        cache_size=args.cache_size, policy=policy,
+        batch_max=args.batch_max, cache_size=args.cache_size, policy=policy,
         faults=args.inject_faults, queue_cap=args.queue_cap,
         default_deadline_ms=args.deadline_ms,
         breaker_threshold=args.breaker_threshold,
@@ -195,7 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
     overload.add_argument("--warm-requests", type=int, default=32)
     overload.add_argument("--warm-clients", type=int, default=2)
     overload.add_argument("--burst-requests", type=int, default=192)
-    overload.add_argument("--burst-clients", type=int, default=48)
+    overload.add_argument("--burst-clients", type=int, default=64)
     overload.add_argument("--pipeline", type=int, default=4)
     overload.add_argument("--queue-cap", type=int, default=16)
     overload.add_argument("--shards", type=int, default=2)
@@ -318,7 +316,6 @@ def _child_flags(args: argparse.Namespace) -> list[str]:
     extra = [
         "--shards", str(args.shards),
         "--batch-max", str(args.batch_max),
-        "--linger", str(args.linger),
         "--cache-size", str(args.cache_size),
         "--retries", str(args.retries),
         "--queue-cap", str(args.queue_cap),
@@ -434,8 +431,8 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     if args.command == "overload":
         serve_config = ServeConfig(
-            shards=args.shards, batch_max=args.batch_max, linger_ms=1.0,
-            cache_size=0, queue_cap=args.queue_cap,
+            shards=args.shards, batch_max=args.batch_max, cache_size=0,
+            queue_cap=args.queue_cap,
             policy=RuntimePolicy(retries=2, timeout=60.0))
         overload_config = OverloadConfig(
             warm_requests=args.warm_requests, warm_clients=args.warm_clients,

@@ -271,7 +271,8 @@ class RequestJournal:
                 fh.write(journal._header_line())
                 fh.flush()
                 os.fsync(fh.fileno())
-        journal._fh = open(journal.path, "a")
+        if journal._fh is None:  # _rewrite() already opened it
+            journal._fh = open(journal.path, "a")
         return journal
 
     def _header_line(self) -> str:

@@ -425,10 +425,10 @@ def build_report(tag: str, load_stats: dict, server_stats: dict,
         "serve_config": {
             "shards": serve_config.shards,
             "batch_max": serve_config.batch_max,
-            "linger_ms": serve_config.linger_ms,
             "cache_size": serve_config.cache_size,
             "faults": serve_config.faults,
         },
+        "cell_phases_ms": server_stats.get("cell_phases_ms", {}),
         "load_config": {
             "requests": cfg.requests, "clients": cfg.clients,
             "seed": cfg.seed, "pool": cfg.pool, "zipf_s": cfg.zipf_s,
@@ -485,17 +485,18 @@ class OverloadConfig:
     ``burst_clients`` is the real overload knob: server-side concurrency
     equals the number of connections (each connection has one request in
     the server at a time), so the burst is sized
-    ``burst_clients >= 2 * (queue_cap + batch_max)`` -- twice what the
-    intake queue plus one in-flight batch can absorb -- making admission
-    control engage *arithmetically*, not by timing luck.  ``pipeline``
-    additionally keeps every connection's next requests already in socket
-    buffers, so the read-gate backpressure path is exercised too.
+    ``burst_clients >= 2 * (queue_cap + shards * batch_max)`` -- twice
+    what the intake queue plus one in-flight batch per shard lane can
+    absorb -- making admission control engage *arithmetically*, not by
+    timing luck.  ``pipeline`` additionally keeps every connection's next
+    requests already in socket buffers, so the read-gate backpressure
+    path is exercised too.
     """
 
     warm_requests: int = 32
     warm_clients: int = 2
     burst_requests: int = 192
-    burst_clients: int = 48
+    burst_clients: int = 64
     pipeline: int = 4
     seed: int = 0
     pool: int = 10          #: distinct base economies
@@ -603,7 +604,7 @@ def run_overload(serve_config: Optional[ServeConfig] = None,
     # (kills, crashes) on first attempts, and the whole point is watching
     # the retry/escalation ladder absorb them under load.
     base = serve_config if serve_config is not None else ServeConfig(
-        shards=2, batch_max=8, linger_ms=1.0, cache_size=0, queue_cap=16,
+        shards=2, batch_max=8, cache_size=0, queue_cap=16,
         policy=RuntimePolicy(retries=2, timeout=60.0))
     from dataclasses import replace as _replace
 
@@ -661,7 +662,8 @@ def run_overload(serve_config: Optional[ServeConfig] = None,
     burst_inv = _overload_invariants(
         burst_server_stats, ocfg.burst_requests, burst_stats, problems,
         "burst")
-    overloadable = 2 * (base.queue_cap + base.batch_max)
+    overloadable = 2 * (base.queue_cap
+                        + max(base.shards, 1) * base.batch_max)
     if ocfg.burst_clients >= overloadable and \
             burst_stats["outcomes"]["overloaded"] == 0:
         problems.append(
@@ -720,7 +722,6 @@ def build_overload_report(tag: str, warm_stats: dict, warm_inv: dict,
         "serve_config": {
             "shards": serve_config.shards,
             "batch_max": serve_config.batch_max,
-            "linger_ms": serve_config.linger_ms,
             "cache_size": serve_config.cache_size,
             "queue_cap": serve_config.queue_cap,
             "faults": serve_config.faults,

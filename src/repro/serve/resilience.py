@@ -17,8 +17,8 @@ front-end production-shaped, each deliberately tiny and event-loop-local
   shedding starts;
 * **deadline bookkeeping** (:class:`Deadline`) -- the per-request
   ``deadline_ms`` budget as an absolute event-loop timestamp, flowed
-  request -> coalesced cell (earliest waiter wins) -> batch linger ->
-  ``supervised_map`` per-cell budget;
+  request -> coalesced cell (earliest waiter wins) -> ``supervised_map``
+  per-cell budget;
 * **circuit breaking** (:class:`ShardBreaker`) -- per-shard health from
   dispatch outcomes (supervisor-level failures, worker kills, cell
   timeouts, precision escalations).  ``threshold`` consecutive bad
@@ -126,8 +126,7 @@ class AdmissionController:
 
     def __init__(self, queue_cap: int, batch_max: int,
                  high_watermark: Optional[int] = None,
-                 low_watermark: Optional[int] = None,
-                 linger_ms: float = 2.0) -> None:
+                 low_watermark: Optional[int] = None) -> None:
         if queue_cap < 1:
             raise ValueError(f"queue_cap must be >= 1, got {queue_cap}")
         self.queue_cap = int(queue_cap)
@@ -143,9 +142,9 @@ class AdmissionController:
                 f"cap={self.queue_cap}")
         self.depth = 0
         self.peak_depth = 0
-        #: EWMA of flush wall seconds; seeded from the linger window so the
-        #: first hints are sane before any flush has completed.
-        self._flush_ewma_s = max(linger_ms, 1.0) / 1000.0
+        #: EWMA of flush wall seconds; seeded at 1 ms so the first hints
+        #: are sane before any flush has completed.
+        self._flush_ewma_s = 0.001
 
     # -- queue accounting --------------------------------------------------
 

@@ -1,15 +1,15 @@
-"""The asyncio serving front-end: accept, coalesce, batch, shard, respond.
+"""The asyncio serving front-end: accept, coalesce, shard, batch, respond.
 
 One :class:`AllocationServer` owns a local TCP listener, a response cache,
-and a single batcher task.  The life of a solve request::
+and one dispatch lane per shard.  The life of a solve request::
 
-    accept --> canonicalize --> cache? --> coalesce? --> queue
-                                   |           |
-                                  hit       in-flight      [batcher]
-                                   |           |      flush on batch_max
-                                   v           v        or linger expiry
-                                respond <-- future <-- shard by sha256(key)
-                                                         |
+    accept --> canonicalize --> cache? --> coalesce? --> shard by sha256(key)
+                                   |           |                |
+                                  hit       in-flight    [lane of the shard]
+                                   |           |      once its last map lands:
+                                   v           v      first cell + what queued
+                                respond <-- future <-- behind it (<= batch_max)
+                                                                |
                                    supervised_map on the shard's worker pool
                                         (timeouts/retries/escalation/faults)
 
@@ -25,21 +25,21 @@ Design points, each load-bearing:
   ``cache_size=0``: coalescing makes solve counts depend on arrival
   timing, and the ``cache_size=0`` contract is that counter totals are a
   pure function of the request stream.
-* **One batcher, persistent shard workers.**  Unique instances accumulate
-  until ``batch_max`` or the ``linger`` window expires (truncated to the
-  earliest deadline in the batch -- a request about to expire never waits
-  out a linger it cannot afford), then the flush is partitioned by
-  ``sha256(key) % shards`` and each shard runs a
+* **One lane per shard, persistent shard workers.**  Admission routes each
+  unique instance to its shard's lane by ``sha256(key) % shards``.  A lane
+  whose previous map has landed takes its first cell at once, plus
+  whatever queued behind it (up to ``batch_max``), and runs one
   :func:`repro.runtime.supervised_map` (the full
-  timeout/retry/escalate/fault ladder) on an executor thread.  Every shard
-  owns a one-worker :class:`~repro.runtime.WorkerPool`, started with the
-  server and stopped at shutdown, and each map borrows it: every cell of
-  a flush, a lone one included, solves in that long-lived worker, which
-  the map re-arms as if freshly forked and the supervisor kills and
-  replaces when it dies, hangs or exhausts its envelope -- idle between
-  flushes included.  Shards of one flush run concurrently; the batcher
-  does not pull new work until the flush lands, and admission control
-  bounds what can accumulate behind it.
+  timeout/retry/escalate/fault ladder) on an executor thread; it settles
+  only its own cells.  No window holds a miss to grow a batch: batches
+  form only while the lane is busy, and a miss on an idle shard never
+  waits on another shard's solve.  Every shard owns a one-worker
+  :class:`~repro.runtime.WorkerPool`, started with the server and stopped
+  at shutdown, and each map borrows it: every cell, a lone one included,
+  solves in that long-lived worker, which the map re-arms as if freshly
+  forked and the supervisor kills and replaces when it dies, hangs or
+  exhausts its envelope -- idle between maps included.  Admission
+  control bounds what can accumulate behind a busy lane.
 * **Overload semantics** (:mod:`repro.serve.resilience`).  The intake
   queue is bounded (``queue_cap``): a request that would overflow it is
   *shed* with a typed ``overloaded`` envelope carrying a
@@ -47,18 +47,21 @@ Design points, each load-bearing:
   memory.  Below the cap, a high/low-watermark read gate pauses
   connection reads for backpressure.  Each request may carry a
   ``deadline_ms`` budget that flows into the coalesced cell (earliest
-  waiter wins), truncates the batch linger, and becomes the supervised
-  map's per-cell budget; a request whose budget expires anywhere on that
-  path gets a typed ``deadline_exceeded`` envelope.  Per-shard circuit
-  breakers watch dispatch outcomes and brown out a sick shard through the
-  serial -> exact -> cache-only ladder with capped-exponential half-open
-  probes.  Every request therefore terminates in exactly one typed
-  envelope: result, overloaded, deadline_exceeded, or error.
+  waiter wins) and becomes the supervised map's per-cell budget; a
+  request whose budget expires anywhere on that path gets a typed
+  ``deadline_exceeded`` envelope.  Per-shard circuit breakers watch
+  dispatch outcomes and brown out a sick shard through the serial ->
+  exact -> cache-only ladder with capped-exponential half-open probes.
+  Every request therefore terminates in exactly one typed envelope:
+  result, overloaded, deadline_exceeded, or error.
 * **Metrics merge on the event loop.**  Each shard dispatch gets its own
   :class:`~repro.engine.counters.Counters` and tracer; snapshots are merged
   into the server context only on the event loop thread, so concurrent
   shards never race on the shared counters (the process-global drain marks
-  are additionally lock-guarded in :mod:`repro.obs.metrics`).
+  are additionally lock-guarded in :mod:`repro.obs.metrics`).  Each
+  dispatched cell also leaves its latency split -- queued, handed off
+  between loop and executor, inside the map -- in ``stats()``'s
+  ``cell_phases_ms`` over the last :data:`PHASE_WINDOW` cells.
 """
 
 from __future__ import annotations
@@ -69,6 +72,7 @@ import hashlib
 import os
 import threading
 import time as _time
+from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -125,6 +129,30 @@ __all__ = ["AllocationServer", "ServeConfig", "ServeHandle", "start_in_thread"]
 #: while keeping a garbage client from ballooning the reader buffer.
 MAX_LINE_BYTES = 8 * 1024 * 1024
 
+#: How many recently dispatched cells ``stats()["cell_phases_ms"]`` covers.
+PHASE_WINDOW = 1024
+#: A dispatched cell's latency phases, in the order they happen.
+_PHASES = ("queue", "handoff", "map")
+
+
+def _percentile(ordered: list, q: float) -> float:
+    """Linearly interpolated ``q``-th percentile of an ascending list
+    (numpy's default method; 0.0 for an empty list).  Plain Python,
+    because the first ``numpy.percentile`` call raised the server
+    process's peak RSS by about 2 MB."""
+    if not ordered:
+        return 0.0
+    pos = (len(ordered) - 1) * q / 100.0
+    lo = int(pos)
+    hi = min(lo + 1, len(ordered) - 1)
+    return ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
+
+
+def shard_of(key: bytes, shards: int) -> int:
+    """The shard (and so the lane) that serves canonical ``key``."""
+    digest = hashlib.sha256(key).digest()
+    return int.from_bytes(digest[:4], "little") % max(shards, 1)
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -135,9 +163,11 @@ class ServeConfig:
     per-worker decomposition cache -- ``0`` means counter totals are
     exactly reproducible for a given request stream, independent of
     sharding and timing.  ``shards`` is the number of worker processes:
-    one long-lived worker per shard, started with the server.
-    ``shards=0`` solves in-process on the serial supervised path (no
-    worker processes; same retry/escalation ladder) -- the debugging mode.
+    one long-lived worker and one dispatch lane per shard, started with
+    the server.  ``shards=0`` keeps one lane but solves in-process on the
+    serial supervised path (no worker processes; same retry/escalation
+    ladder) -- the debugging mode.  ``batch_max`` caps how many queued
+    cells a lane takes into one map; a lane never waits for more.
     """
 
     host: str = "127.0.0.1"
@@ -145,7 +175,6 @@ class ServeConfig:
     spec: EngineSpec = field(default_factory=EngineSpec)
     shards: int = 2
     batch_max: int = 16
-    linger_ms: float = 2.0
     cache_size: int = 1024
     policy: Optional[RuntimePolicy] = None
     faults: Optional[str] = None
@@ -192,7 +221,7 @@ class _Cell:
 
     ``deadline`` is the earliest deadline among the cell's waiters; a
     coalescer arriving while the cell is still queued tightens it
-    (``dispatched`` gates that -- once a flush holds the cell, its budget
+    (``dispatched`` gates that -- once a lane holds the cell, its budget
     is frozen, and late coalescers are bounded by their own response-side
     ``wait_for`` instead).
 
@@ -200,10 +229,13 @@ class _Cell:
     when durability is off): cells -- not requests -- are the journaled
     unit, so a coalesced waiter rides its cell's admission and a settle
     record fires exactly once per cell when its future resolves.
+
+    ``admitted`` is the monotonic admission time, where the cell's
+    ``queue`` phase starts.
     """
 
     __slots__ = ("key", "canon_dict", "future", "deadline", "dispatched",
-                 "seq")
+                 "seq", "admitted")
 
     def __init__(self, key: bytes, canon_dict: dict, future: asyncio.Future,
                  deadline: Optional[Deadline] = None,
@@ -214,6 +246,7 @@ class _Cell:
         self.deadline = deadline
         self.dispatched = False
         self.seq = seq
+        self.admitted = _time.monotonic()
 
 
 class AllocationServer:
@@ -232,9 +265,9 @@ class AllocationServer:
         # (including the breaker's serial and exact rungs, which run in
         # *this* process) each accumulate onto their own metrics-drain
         # source and stay individually attributable.
+        nshards = max(config.shards, 1)
         self.shard_specs = [
-            replace(self.spec, tag=f"serve-shard-{i}")
-            for i in range(max(config.shards, 1))
+            replace(self.spec, tag=f"serve-shard-{i}") for i in range(nshards)
         ]
         self.policy = config.effective_policy()
         tracer = Tracer(enabled=True)
@@ -245,23 +278,25 @@ class AllocationServer:
             batch_max=config.batch_max,
             high_watermark=config.read_high_watermark,
             low_watermark=config.read_low_watermark,
-            linger_ms=config.linger_ms,
         )
         self.breakers = [
-            ShardBreaker(i, config.breaker_config())
-            for i in range(max(config.shards, 1))
+            ShardBreaker(i, config.breaker_config()) for i in range(nshards)
         ]
         #: One single-worker pool per shard (none with ``shards=0``),
         #: opened in start() and closed in shutdown().
         self._pools: list[WorkerPool] = []
-        self._queue: asyncio.Queue = asyncio.Queue()
+        #: One intake queue per shard, each drained by its lane task.
+        self._lanes: list[asyncio.Queue] = [
+            asyncio.Queue() for _ in range(nshards)]
+        self._lane_tasks: list[asyncio.Task] = []
+        #: ``(queue, handoff, map)`` seconds of recently dispatched cells.
+        self._phases: deque = deque(maxlen=PHASE_WINDOW)
         self._inflight: dict[bytes, _Cell] = {}
         self._open: set = set()  # every unresolved cell future (drain waits)
         self._conn_tasks: set = set()  # live connection handlers (shutdown)
         self._read_gate = asyncio.Event()  # cleared = intake paused
         self._read_gate.set()
         self._server: Optional[asyncio.base_events.Server] = None
-        self._batcher_task: Optional[asyncio.Task] = None
         self._closed = asyncio.Event()
         self._stopping = False
         # Crash durability (None/off unless configured).  ``restarts`` is
@@ -298,9 +333,10 @@ class AllocationServer:
             self._close_pools()
             raise
         loop = asyncio.get_running_loop()
-        self._batcher_task = loop.create_task(self._batcher())
+        self._lane_tasks = [loop.create_task(self._lane(sid))
+                            for sid in range(len(self._lanes))]
         if self._journal is not None:
-            await self._replay_pending()
+            self._replay_pending()
             self._snapshot_task = loop.create_task(self._snapshot_loop())
 
     def _open_durability(self, durability: DurabilityConfig) -> None:
@@ -330,9 +366,9 @@ class AllocationServer:
             compact_min_settled=durability.compact_min_settled,
         )
 
-    async def _replay_pending(self) -> None:
-        """Re-enqueue every unsettled journaled admission through the
-        normal solve path.
+    def _replay_pending(self) -> None:
+        """Re-enqueue every unsettled journaled admission into its lane,
+        through the normal solve path.
 
         The original waiters died with the previous process, so nobody
         awaits these futures -- the point is that the *work* completes:
@@ -358,14 +394,7 @@ class AllocationServer:
             # never logs an "exception was never retrieved" warning.
             future.add_done_callback(
                 lambda f: f.exception() if not f.cancelled() else None)
-            cell = _Cell(key, canon_dict, future, seq=seq)
-            if self.cache.enabled:
-                self._inflight[key] = cell
-            self._open.add(future)
-            future.add_done_callback(self._open.discard)
-            self.admission.admitted()
-            self._update_read_gate()
-            await self._queue.put(cell)
+            self._enqueue(_Cell(key, canon_dict, future, seq=seq))
 
     @property
     def port(self) -> int:
@@ -385,10 +414,10 @@ class AllocationServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        await self._queue.put(None)  # batcher shutdown sentinel
-        if self._batcher_task is not None:
-            await self._batcher_task
-        self._close_pools()  # no flush can borrow a worker any more
+        for lane in self._lanes:
+            lane.put_nowait(None)  # lane shutdown sentinel
+        await asyncio.gather(*self._lane_tasks)
+        self._close_pools()  # no lane can borrow a worker any more
         if self._snapshot_task is not None:
             self._snapshot_task.cancel()
             try:
@@ -423,15 +452,12 @@ class AllocationServer:
     async def drain(self) -> None:
         """Wait until every accepted solve has a resolved result.
 
-        The batcher never holds work outside the queue and the open-future
-        set, so quiescence is exactly: queue empty and no open futures.
+        A cell's future joins the open set when the cell is admitted and
+        leaves it when a lane settles it, so quiescence is exactly: no
+        open futures.
         """
-        while not self._queue.empty() or self._open:
-            pending = list(self._open)
-            if pending:
-                await asyncio.wait(pending)
-            else:
-                await asyncio.sleep(0.001)
+        while self._open:
+            await asyncio.wait(list(self._open))
 
     async def _snapshot_loop(self) -> None:
         """Periodic cache snapshots while the server runs.
@@ -481,13 +507,13 @@ class AllocationServer:
         out["serve_config"] = {
             "shards": self.config.shards,
             "batch_max": self.config.batch_max,
-            "linger_ms": self.config.linger_ms,
             "cache_size": self.config.cache_size,
             "queue_cap": self.config.queue_cap,
             "default_deadline_ms": self.config.default_deadline_ms,
         }
         out["response_cache"] = self.cache.stats()
         out["admission"] = self.admission.stats()
+        out["cell_phases_ms"] = self._phase_stats()
         out["workers"] = {str(sid): next(iter(pool.pids()), None)
                           for sid, pool in enumerate(self._pools)}
         out["restarts"] = self.restarts
@@ -506,6 +532,19 @@ class AllocationServer:
         # here keeps breaker cooldowns readable from any thread.
         now = _time.monotonic()
         out["breakers"] = {str(b.sid): b.stats(now) for b in self.breakers}
+        return out
+
+    def _phase_stats(self) -> dict:
+        """p50/p95 (ms) and count of each latency phase over the window:
+        ``queue`` from admission until the lane takes the cell, ``handoff``
+        between the lane and the executor thread both ways, and ``map``
+        the supervised map's wall time, the worker's solve included."""
+        rows = list(self._phases)
+        out = {}
+        for i, name in enumerate(_PHASES):
+            col = sorted(row[i] * 1000.0 for row in rows)
+            out[name] = {"p50": _percentile(col, 50),
+                         "p95": _percentile(col, 95), "count": len(col)}
         return out
 
     # -- connection handling ---------------------------------------------
@@ -639,20 +678,14 @@ class AllocationServer:
                     cell.seq = self._journal.admit(
                         key, canon_dict, deadline_ms=deadline_ms)
                     self.ctx.counters.serve_journal_admits += 1
-                if coalesce:
-                    self._inflight[key] = cell
-                self._open.add(future)
-                future.add_done_callback(self._open.discard)
-                self.admission.admitted()
-                self._update_read_gate()
-                await self._queue.put(cell)
+                self._enqueue(cell)
 
         try:
             if deadline is None:
                 result = await asyncio.shield(future)
             else:
                 # The response-side guarantee: whatever happens below the
-                # batcher, this waiter gets its typed envelope on time.
+                # lanes, this waiter gets its typed envelope on time.
                 # The shield keeps the shared solve alive for coalesced
                 # siblings (and the cache) when this waiter times out.
                 result = await asyncio.wait_for(
@@ -672,7 +705,7 @@ class AllocationServer:
     def _respond(self, req_id, result: dict, order) -> dict:
         if "error" in result:
             error = dict(result["error"])
-            # Deadline expirations settled below the batcher (supervised
+            # Deadline expirations settled below the lanes (supervised
             # budget ran out) are the same terminal outcome as a
             # response-side wait_for timeout -- count them as such, not as
             # generic errors.
@@ -694,37 +727,39 @@ class AllocationServer:
         elif paused and not want_pause:
             self._read_gate.set()
 
-    # -- batching and dispatch -------------------------------------------
+    # -- lanes and dispatch ----------------------------------------------
 
-    async def _batcher(self) -> None:
-        loop = asyncio.get_running_loop()
-        linger = max(self.config.linger_ms, 0.0) / 1000.0
+    def _enqueue(self, cell: _Cell) -> None:
+        """Admit one new cell: make it coalescable, count it against the
+        intake queue, and route it to its shard's lane."""
+        if self.cache.enabled:
+            self._inflight[cell.key] = cell
+        self._open.add(cell.future)
+        cell.future.add_done_callback(self._open.discard)
+        self.admission.admitted()
+        self._update_read_gate()
+        self._lanes[shard_of(cell.key, len(self._lanes))].put_nowait(cell)
+
+    async def _lane(self, sid: int) -> None:
+        """Shard ``sid``'s dispatch loop, until the ``None`` sentinel.
+
+        As soon as the previous map has landed, take the first queued
+        cell at once plus whatever queued behind it, up to ``batch_max``,
+        and flush them.  A taken sentinel goes back behind any cells
+        still queued, so the lane stops only once it reaches the head.
+        """
+        queue = self._lanes[sid]
         while True:
-            cell = await self._queue.get()
+            cell = await queue.get()
             if cell is None:
                 return
             batch = [cell]
-            flush_at = loop.time() + linger
-            stop = False
-            while len(batch) < self.config.batch_max:
-                # The linger never outlives the earliest deadline in the
-                # batch: a request about to expire flushes immediately
-                # rather than waiting out a window it cannot afford.
-                cutoff = flush_at
-                for c in batch:
-                    if c.deadline is not None and c.deadline.at < cutoff:
-                        cutoff = c.deadline.at
-                timeout = cutoff - loop.time()
-                if timeout <= 0:
+            while len(batch) < self.config.batch_max and not queue.empty():
+                cell = queue.get_nowait()
+                if cell is None:
+                    queue.put_nowait(None)
                     break
-                try:
-                    nxt = await asyncio.wait_for(self._queue.get(), timeout)
-                except asyncio.TimeoutError:
-                    break
-                if nxt is None:
-                    stop = True
-                    break
-                batch.append(nxt)
+                batch.append(cell)
             # From here the batch's deadlines are frozen (late coalescers
             # are bounded by their own response-side wait_for instead) and
             # the cells no longer count against the intake queue.
@@ -732,92 +767,75 @@ class AllocationServer:
                 c.dispatched = True
             self.admission.dequeued(len(batch))
             self._update_read_gate()
-            await self._flush(batch)
-            if stop:
-                return
+            await self._flush(sid, batch)
 
-    async def _flush(self, batch: list) -> None:
-        """Dispatch one flush: shard, solve concurrently, settle futures.
+    async def _flush(self, sid: int, cells: list) -> None:
+        """Dispatch one lane's batch on shard ``sid`` and settle its cells.
 
-        Each shard's dispatch mode comes from its circuit breaker: normal
-        (worker pool), serial, exact, or -- the deepest brownout --
-        cache-only, where queued cells fast-fail with a typed
-        ``CircuitOpenError`` without dispatching at all.  Outcomes feed
-        back into the breakers after the flush lands.
+        The shard's circuit breaker picks the dispatch mode: normal (the
+        shard's worker), serial, exact, or -- the deepest brownout --
+        cache-only, where the cells fast-fail with a typed
+        ``CircuitOpenError`` without dispatching at all.  The outcome
+        feeds back into the breaker once the map lands, and every
+        dispatched cell records its latency phases.
         """
         self.ctx.counters.serve_batches += 1
         loop = asyncio.get_running_loop()
         t0 = loop.time()
-        nshards = max(self.config.shards, 1)
-        shards: dict[int, list] = {}
-        for cell in batch:
-            digest = hashlib.sha256(cell.key).digest()
-            sid = int.from_bytes(digest[:4], "little") % nshards
-            shards.setdefault(sid, []).append(cell)
-
-        dispatches: list = []  # (sid, cells, probe) actually dispatched
-        jobs = []
-        for sid, cells in shards.items():
-            mode, probe = self.breakers[sid].dispatch_mode(t0)
-            if probe:
-                self.ctx.counters.breaker_probes += 1
-            if mode == MODE_CACHE_ONLY:
-                self._fastfail_shard(sid, cells, t0)
-                continue
-            # Budgets are computed at dispatch time: whatever the request
-            # already spent queued and lingering is gone from what the
-            # supervised map may use.
-            budgets = [
-                None if cell.deadline is None
-                else max(cell.deadline.remaining(t0), 0.0)
-                for cell in cells
-            ]
-            dispatches.append((sid, cells, probe))
-            jobs.append(loop.run_in_executor(
-                None, self._solve_shard, sid, cells, mode, budgets))
-
-        if not jobs:
+        mode, probe = self.breakers[sid].dispatch_mode(t0)
+        if probe:
+            self.ctx.counters.breaker_probes += 1
+        if mode == MODE_CACHE_ONLY:
+            self._fastfail_shard(sid, cells, t0)
             return
+        # Budgets are computed at dispatch time: whatever the request
+        # already spent queued is gone from what the supervised map may use.
+        budgets = [
+            None if cell.deadline is None
+            else max(cell.deadline.remaining(t0), 0.0)
+            for cell in cells
+        ]
         with self.ctx.span("serve/dispatch"):
-            outcomes = await asyncio.gather(*jobs)
+            (results, error, counters, tracer,
+             started, ended) = await loop.run_in_executor(
+                None, self._solve_shard, sid, cells, mode, budgets)
         now = loop.time()
         self.admission.observe_flush(now - t0)
 
-        for (sid, cells, probe), (results, error, counters, tracer) in zip(
-            dispatches, outcomes
-        ):
-            # Merge on the event loop thread only -- no executor thread
-            # ever touches the shared context.
-            snapshot = counters.snapshot()
-            self.ctx.counters.merge_snapshot(snapshot)
-            if self.ctx.tracer is not None:
-                self.ctx.tracer.merge_snapshot(tracer.snapshot())
-            # Feed the breaker.  Degraded non-probe outcomes are ignored
-            # inside on_outcome; "bad" means the shard itself is sick
-            # (supervisor failure, worker kills, cell timeouts,
-            # escalations), never per-request typed errors or deadline
-            # expirations.
-            bad = ShardBreaker.outcome_is_bad(error, snapshot)
-            detail = (f"{type(error).__name__}: {error}" if error is not None
-                      else "sick dispatch counters" if bad else None)
-            if self.breakers[sid].on_outcome(not bad, now, probe=probe,
-                                             detail=detail):
-                self.ctx.counters.breaker_trips += 1
-            for i, cell in enumerate(cells):
-                self._inflight.pop(cell.key, None)
-                # Any resolution -- result, deadline marker, or dispatch
-                # error -- is a terminal typed outcome: settle the
-                # journaled admission so a restart does not redo it.
-                self._settle(cell)
-                if cell.future.cancelled():
-                    continue
-                if error is not None:
-                    cell.future.set_exception(error)
-                else:
-                    result = results[i]
-                    if "error" not in result:
-                        self.cache.put(cell.key, result)
-                    cell.future.set_result(result)
+        # Merge on the event loop thread only -- no executor thread ever
+        # touches the shared context.
+        snapshot = counters.snapshot()
+        self.ctx.counters.merge_snapshot(snapshot)
+        if self.ctx.tracer is not None:
+            self.ctx.tracer.merge_snapshot(tracer.snapshot())
+        # Feed the breaker.  Degraded non-probe outcomes are ignored inside
+        # on_outcome; "bad" means the shard itself is sick (supervisor
+        # failure, worker kills, cell timeouts, escalations), never
+        # per-request typed errors or deadline expirations.
+        bad = ShardBreaker.outcome_is_bad(error, snapshot)
+        detail = (f"{type(error).__name__}: {error}" if error is not None
+                  else "sick dispatch counters" if bad else None)
+        if self.breakers[sid].on_outcome(not bad, now, probe=probe,
+                                         detail=detail):
+            self.ctx.counters.breaker_trips += 1
+        for i, cell in enumerate(cells):
+            self._inflight.pop(cell.key, None)
+            # Any resolution -- result, deadline marker, or dispatch error
+            # -- is a terminal typed outcome: settle the journaled
+            # admission so a restart does not redo it.
+            self._settle(cell)
+            if cell.future.cancelled():
+                continue
+            if error is not None:
+                cell.future.set_exception(error)
+            else:
+                result = results[i]
+                if "error" not in result:
+                    self.cache.put(cell.key, result)
+                cell.future.set_result(result)
+        handoff = (started - t0) + (loop.time() - ended)
+        self._phases.extend((t0 - cell.admitted, handoff, ended - started)
+                            for cell in cells)
 
     def _fastfail_shard(self, sid: int, cells: list, now: float) -> None:
         """Cache-only brownout: settle every queued cell with a typed
@@ -840,7 +858,7 @@ class AllocationServer:
             }})
 
     def _solve_shard(self, sid: int, cells: list, mode: str, budgets: list):
-        """Executor-thread entry: one supervised map over a shard's cells.
+        """Executor-thread entry: one supervised map over one lane's batch.
 
         ``shards=0`` runs the serial in-process path (``processes=0``);
         otherwise the map borrows the shard's long-lived worker, so the
@@ -851,7 +869,9 @@ class AllocationServer:
         the failing float attempts and solves straight on the ``Fraction``
         backend.  Per-cell deadline budgets flow into the map; an expired
         cell settles as a ``DeadlineExceededError`` marker via
-        :func:`deadline_marker` instead of failing its batch.
+        :func:`deadline_marker` instead of failing its batch.  Returns
+        ``(results, error, counters, tracer, started, ended)``, the last
+        two the map's monotonic start and end on this thread.
         """
         counters = Counters()
         tracer = Tracer(enabled=True)
@@ -867,6 +887,8 @@ class AllocationServer:
         items = [(self.shard_specs[sid], cell.canon_dict) for cell in cells]
         if all(b is None for b in budgets):
             budgets = None
+        results = error = None
+        started = _time.monotonic()
         try:
             results = supervised_map(
                 fn,
@@ -879,9 +901,9 @@ class AllocationServer:
                 on_deadline=deadline_marker,
                 pool=pool,
             )
-            return results, None, counters, tracer
         except Exception as exc:
-            return None, exc, counters, tracer
+            error = exc
+        return results, error, counters, tracer, started, _time.monotonic()
 
 
 # -- embedding: run the server on a background thread ----------------------

@@ -38,8 +38,7 @@ def test_effective_spec_threads_cache_size_to_workers():
 
 def _drive(shards: int, repeats: int) -> dict:
     instances = [ring([1.5 + i, 2.75, 3.125, 4.5]) for i in range(6)]
-    with serving(shards=shards, cache_size=0, batch_max=4,
-                 linger_ms=1.0) as handle:
+    with serving(shards=shards, cache_size=0, batch_max=4) as handle:
         errors: list = []
 
         def client_run() -> None:

@@ -32,7 +32,7 @@ def _dead_port() -> int:
 
 
 def _serve():
-    return start_in_thread(ServeConfig(shards=1, batch_max=4, linger_ms=1.0))
+    return start_in_thread(ServeConfig(shards=1, batch_max=4))
 
 
 def test_dead_first_endpoint_is_skipped_at_connect():

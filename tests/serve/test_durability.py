@@ -11,7 +11,9 @@ journal admissions alike.
 
 from __future__ import annotations
 
+import gc
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +107,21 @@ def test_duplicate_settle_records_in_file_are_tolerated(tmp_path):
         fh.write('{"t":"s","q":1}\n' * 3)
     with RequestJournal.open(path, FP, fsync="off") as j:
         assert sorted(j.pending) == [2]
+
+
+def test_reopen_after_settles_leaks_no_file_handle(tmp_path):
+    """Compaction on open already reopens the append handle; opening it
+    a second time orphaned the first, which garbage collection then
+    closed with a ResourceWarning."""
+    path = tmp_path / "journal.wal"
+    with RequestJournal.open(path, FP, fsync="off") as j:
+        j.settle(j.admit(*_canon(0)))
+        j.admit(*_canon(1))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        RequestJournal.open(path, FP, fsync="off").close()
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_midfile_corruption_raises_typed(tmp_path):
@@ -243,7 +260,7 @@ def test_durability_config_creates_dir(tmp_path):
 
 def _durable_config(tmp_path) -> ServeConfig:
     return ServeConfig(
-        shards=1, batch_max=4, linger_ms=1.0,
+        shards=1, batch_max=4,
         durability=DurabilityConfig(dir=str(tmp_path / "state"), fsync="off",
                                     snapshot_interval_s=60.0))
 
@@ -303,8 +320,7 @@ def test_restart_replays_unsettled_admission(tmp_path):
         result = client.rpc({"op": "solve", "graph": graph})["result"]
         stats = client.rpc({"op": "stats"})["result"]
         assert stats["serve_cache_hits"] >= 1
-        fresh = start_in_thread(ServeConfig(shards=1, batch_max=4,
-                                            linger_ms=1.0))
+        fresh = start_in_thread(ServeConfig(shards=1, batch_max=4))
         fresh_client = Client(fresh.port)
         try:
             expected = fresh_client.rpc(

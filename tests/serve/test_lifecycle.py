@@ -47,7 +47,7 @@ def _slow_config(**overrides) -> ServeConfig:
     """One shard whose every flush crawls: the first two cells of each
     dispatch sleep 0.4s in the worker, so the flush window is wide enough
     to race ops against deterministically."""
-    base = dict(shards=1, batch_max=2, linger_ms=50.0, cache_size=0,
+    base = dict(shards=1, batch_max=2, cache_size=0,
                 queue_cap=2, faults="cell:delay@0:0.4;cell:delay@1:0.4",
                 policy=RuntimePolicy(retries=1, timeout=60.0))
     base.update(overrides)

@@ -58,10 +58,12 @@ def _terminal_tiling(stats: dict) -> None:
 
 def test_sheds_typed_envelope_at_capacity():
     """queue_cap=1 with slow flushes and concurrent misses must shed, and
-    a shed is a typed envelope with a hint on a live connection."""
+    a shed is a typed envelope with a hint on a live connection.  Every
+    map's first cell sleeps 0.3 s, so the lane stays busy while the
+    burst arrives."""
     graphs = _graphs(12, seed=1)
-    cfg = ServeConfig(shards=1, batch_max=2, linger_ms=50.0, cache_size=0,
-                      queue_cap=1,
+    cfg = ServeConfig(shards=1, batch_max=2, cache_size=0, queue_cap=1,
+                      faults="cell:delay@0:0.3",
                       policy=RuntimePolicy(retries=1, timeout=60.0))
     handle = start_in_thread(cfg)
     try:
@@ -123,9 +125,11 @@ def test_no_shed_below_capacity_and_stats_shape():
 
 
 def test_deadline_exceeded_is_typed_and_counted():
-    """A microscopic budget cannot survive a long linger: the response is
-    a typed deadline_exceeded envelope, counted under its own counter."""
-    with serving(shards=0, linger_ms=500.0, cache_size=0) as handle:
+    """A microscopic budget cannot outlast a busy lane (every map's first
+    cell sleeps 0.3 s): the response is a typed deadline_exceeded
+    envelope, counted under its own counter."""
+    with serving(shards=0, cache_size=0,
+                 faults="cell:delay@0:0.3") as handle:
         with client_for(handle) as c:
             resp = _solve(c, 1, ring([1.0, 2.0, 3.0]), deadline_ms=1.0)
             assert resp["status"] == "error"
@@ -140,8 +144,8 @@ def test_deadline_exceeded_is_typed_and_counted():
 
 
 def test_default_deadline_applies_when_request_has_none():
-    with serving(shards=0, linger_ms=300.0, cache_size=0,
-                 default_deadline_ms=1.0) as handle:
+    with serving(shards=0, cache_size=0, default_deadline_ms=1.0,
+                 faults="cell:delay@0:0.3") as handle:
         with client_for(handle) as c:
             resp = _solve(c, 1, ring([1.0, 2.0, 3.0]))
             assert resp["status"] == "error"
@@ -177,7 +181,7 @@ def test_breaker_walks_ladder_to_cache_only_fastfail():
     serial -> exact via failed probes, and lands in cache-only brownout
     where a miss fast-fails with a typed CircuitOpenError."""
     graphs = _graphs(16, seed=3)
-    cfg = ServeConfig(shards=1, batch_max=4, linger_ms=60.0, cache_size=0,
+    cfg = ServeConfig(shards=1, batch_max=4, cache_size=0,
                       faults="worker:kill@0",
                       breaker_threshold=1, breaker_cooldown_s=0.05,
                       breaker_cooldown_cap_s=0.4,

@@ -111,27 +111,27 @@ class TestAdmissionController:
             AdmissionController(queue_cap=0, batch_max=4)
 
     def test_retry_hint_scales_with_backlog(self):
-        adm = AdmissionController(queue_cap=64, batch_max=8, linger_ms=10.0)
+        adm = AdmissionController(queue_cap=64, batch_max=8)
         empty_hint = adm.retry_after_ms()
         for _ in range(32):
             adm.admitted()
         assert adm.retry_after_ms() > empty_hint
 
     def test_retry_hint_tracks_flush_ewma(self):
-        adm = AdmissionController(queue_cap=8, batch_max=8, linger_ms=1.0)
+        adm = AdmissionController(queue_cap=8, batch_max=8)
         before = adm.retry_after_ms()
         for _ in range(20):
             adm.observe_flush(0.5)  # slow flushes
         assert adm.retry_after_ms() > before
 
     def test_retry_hint_clamped(self):
-        adm = AdmissionController(queue_cap=8, batch_max=1, linger_ms=1.0)
+        adm = AdmissionController(queue_cap=8, batch_max=1)
         for _ in range(20):
             adm.observe_flush(3600.0)
         for _ in range(8):
             adm.admitted()
         assert adm.retry_after_ms() <= 30_000.0
-        calm = AdmissionController(queue_cap=8, batch_max=8, linger_ms=0.0)
+        calm = AdmissionController(queue_cap=8, batch_max=8)
         assert calm.retry_after_ms() >= 1.0
 
     def test_stats_shape(self):

@@ -55,7 +55,7 @@ def test_single_shot_matches_raw_core_on_canonical_instances():
 def test_served_bit_identical_to_single_shot(shards):
     instances = _mixed_instances()
     expected = [single_shot_response(g) for g in instances]
-    with serving(shards=shards, batch_max=8, linger_ms=1.0) as handle:
+    with serving(shards=shards, batch_max=8) as handle:
         with client_for(handle) as c:
             for i, (g, exp) in enumerate(zip(instances, expected)):
                 resp = c.rpc({"op": "solve", "id": i,
@@ -83,7 +83,7 @@ def test_isomorphic_relabellings_hit_cache_and_map_back():
         seq = list(reversed(base)) if reflect else list(base)
         for r in range(n):
             labellings.append(seq[r:] + seq[:r])
-    with serving(shards=2, linger_ms=0.5) as handle:
+    with serving(shards=2) as handle:
         with client_for(handle) as c:
             for i, ws in enumerate(labellings):
                 g = ring(ws)

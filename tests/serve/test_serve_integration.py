@@ -31,7 +31,7 @@ def _solve(client, req_id, g):
 # -- lifecycle --------------------------------------------------------------
 
 def test_lifecycle_start_serve_drain_shutdown():
-    with serving(shards=1, linger_ms=0.5) as handle:
+    with serving(shards=1) as handle:
         with client_for(handle) as c:
             assert c.rpc({"op": "ping", "id": 1}) == {
                 "id": 1, "status": "ok",
@@ -122,7 +122,7 @@ def test_concurrent_batches_do_not_double_count():
     # solved would hit the worker-side decomposition cache and break the
     # decompositions == misses arithmetic below.
     instances = [ring([1.0 + i, 2.125, 3.375, 4.0 + i]) for i in range(12)]
-    with serving(shards=3, batch_max=4, linger_ms=1.0) as handle:
+    with serving(shards=3, batch_max=4) as handle:
         errors: list = []
 
         def run_client(offset: int) -> None:

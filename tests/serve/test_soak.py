@@ -42,7 +42,7 @@ def test_request_script_is_deterministic_and_mixed():
 
 
 def test_short_soak_zero_problems_and_gateable_report():
-    serve_cfg = ServeConfig(shards=2, batch_max=8, linger_ms=1.0)
+    serve_cfg = ServeConfig(shards=2, batch_max=8)
     load_cfg = LoadConfig(requests=60, clients=4, seed=1,
                           malformed_rate=0.05, audit_rate=0.15)
     report = run_soak(serve_cfg, load_cfg, tag="soak-test")
@@ -69,7 +69,7 @@ def test_soak_with_fault_injection_still_clean():
     is absorbed by the retry ladder -- responses stay bit-perfect."""
     from repro.runtime import RuntimePolicy
 
-    serve_cfg = ServeConfig(shards=1, batch_max=8, linger_ms=1.0,
+    serve_cfg = ServeConfig(shards=1, batch_max=8,
                             policy=RuntimePolicy(retries=2, timeout=60.0),
                             faults="worker:kill@0")
     load_cfg = LoadConfig(requests=25, clients=2, seed=3,
