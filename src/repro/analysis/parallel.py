@@ -40,7 +40,7 @@ from __future__ import annotations
 import hashlib
 from typing import Iterable, Optional, Sequence
 
-from ..engine import SOLVER_NAME, EngineContext, EngineSpec, resolve_context
+from ..engine import ENGINE_NAME, SOLVER_NAME, EngineContext, EngineSpec, resolve_context
 from ..graphs import WeightedGraph
 from ..numeric import EXACT
 from ..obs.metrics import register_worker_context
@@ -103,7 +103,7 @@ def sweep_fingerprint(
     if spec is not None:
         h.update(
             repr(
-                (SOLVER_NAME, spec.backend.name, spec.zero_tol, spec.engine)
+                (SOLVER_NAME, spec.backend.name, spec.zero_tol, ENGINE_NAME)
             ).encode()
         )
     for g, v in cells:

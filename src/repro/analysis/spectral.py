@@ -33,9 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import bd_allocation
-from ..core.dynamics import _edge_arrays
 from ..exceptions import ReproError
 from ..graphs import WeightedGraph
+from ..graphs.columnar import ColumnarGraph
 from ..numeric import FLOAT
 
 __all__ = ["SpectralReport", "dynamics_jacobian", "spectral_report", "predicted_iterations"]
@@ -45,9 +45,11 @@ def dynamics_jacobian(g: WeightedGraph, x: np.ndarray | None = None) -> np.ndarr
     """Jacobian of the synchronous update at allocation ``x``.
 
     ``x`` defaults to the BD equilibrium.  Rows/columns are indexed by the
-    directed-edge order of :func:`repro.core.dynamics._edge_arrays`.
+    directed-edge order of
+    :meth:`repro.graphs.columnar.ColumnarGraph.directed_arrays`, the same
+    arrays the dynamics iterate over.
     """
-    src, dst, rev, index = _edge_arrays(g)
+    src, dst, rev, index = ColumnarGraph.from_graph(g).directed_arrays()
     E = len(src)
     w = np.asarray([float(t) for t in g.weights])
     if x is None:

@@ -23,7 +23,6 @@ from .worst_case import (
     search_worst_ring,
     search_worst_ring_scoped,
 )
-from .exact_response import ExactBestResponse, exact_attacker_utility, exact_best_split
 from .combined import (
     CombinedBestResponse,
     ComposedAttack,
@@ -74,9 +73,6 @@ __all__ = [
     "search_worst_ring",
     "scoped_rng",
     "search_worst_ring_scoped",
-    "ExactBestResponse",
-    "exact_attacker_utility",
-    "exact_best_split",
     "GeneralBestResponse",
     "GeneralSplit",
     "best_general_split",

@@ -16,8 +16,7 @@ with finitely many breakpoints.  The optimizer therefore:
    split.
 
 An exhaustive-enumeration variant over *exact* rational breakpoints is
-provided by :mod:`repro.theory.breakpoints` for small instances; tests
-cross-check the two.
+provided by :mod:`repro.theory.breakpoints` for small instances.
 """
 
 from __future__ import annotations
@@ -34,11 +33,6 @@ from ..numeric import Backend, FLOAT, Scalar
 from .sybil import attacker_utility, honest_split_from_allocation
 
 __all__ = ["BestResponse", "best_split", "utility_of_split_curve"]
-
-#: ``method="auto"`` promotes the exact-rational search to primary path on
-#: exact-backend instances up to this size; beyond it the regime sweep's
-#: exact decompositions dominate and the grid search wins.
-EXACT_METHOD_MAX_N = 10
 
 
 @dataclass(frozen=True)
@@ -78,7 +72,6 @@ def best_split(
     refine_iters: int = 60,
     backend: Backend = FLOAT,
     ctx: EngineContext | None = None,
-    method: str = "grid",
 ) -> BestResponse:
     """Search for ``(w_1^*, w_2^*)`` maximizing the attacker's utility.
 
@@ -94,44 +87,13 @@ def best_split(
     refine_iters:
         Golden-section iterations inside the winning bracket (60 iterations
         shrink it by ~1e-12 relative).
-    method:
-        ``"grid"`` runs the sample-and-refine search above.  ``"exact"``
-        promotes :func:`repro.attack.exact_response.exact_best_split` --
-        formerly only a certifier -- to the primary path: a regime sweep
-        plus per-regime rational optimization, exact on the regimes it
-        covers.  ``"auto"`` picks ``"exact"`` on exact backends up to
-        ``EXACT_METHOD_MAX_N`` vertices and ``"grid"`` otherwise.
     """
     require_ring(g)
     if grid < 2:
         raise AttackError("grid must have at least 2 points")
     ctx = resolve_context(ctx)
-    if method == "auto":
-        method = (
-            "exact"
-            if backend.is_exact and g.n <= EXACT_METHOD_MAX_N
-            else "grid"
-        )
-    if method == "exact":
-        # Imported lazily: exact_response pulls in repro.theory at module
-        # level, whose stage lemmas import back into this module -- a
-        # top-level import here would deadlock package initialization.
-        from .exact_response import exact_best_split
-
-        with ctx.counters.timed("best_response"), ctx.span("best_response"):
-            r = exact_best_split(g, v, ctx=ctx)
-            result = BestResponse(
-                vertex=v,
-                w1=float(r.w1),
-                w2=float(r.w2),
-                utility=float(r.utility),
-                honest_utility=float(r.honest_utility),
-            )
-    elif method == "grid":
-        with ctx.counters.timed("best_response"), ctx.span("best_response"):
-            result = _best_split_search(g, v, grid, refine_iters, backend, ctx)
-    else:
-        raise AttackError(f"unknown best-response method {method!r}")
+    with ctx.counters.timed("best_response"), ctx.span("best_response"):
+        result = _best_split_search(g, v, grid, refine_iters, backend, ctx)
     ctx.audit_best_response(g, v, result)
     return result
 
@@ -139,22 +101,19 @@ def best_split(
 class _SplitEvaluator:
     """Evaluates ``U(w_1) = U_{v^1} + U_{v^2}`` for one attacker's sweep.
 
-    Three operating modes, chosen once from the engine context:
+    The cut path graph is built once and weight-swapped per candidate, and
+    each Dinkelbach solve is warm-started from a nearby candidate's
+    decomposition.  Two operating modes, chosen once from the engine
+    context:
 
-    * ``engine="classic"`` -- every candidate goes through
-      :func:`~repro.attack.sybil.attacker_utility` verbatim (cut the ring,
-      full decomposition, full allocation), exactly the pre-columnar path.
-    * ``engine="columnar"`` with an auditor attached -- the cut path graph
-      is built once and weight-swapped per candidate, and each Dinkelbach
-      solve is warm-started from the previous candidate's decomposition,
-      but every candidate still gets a full solve and a full, audited
-      allocation: auditors see full-fidelity work.
-    * ``engine="columnar"`` without an auditor -- additionally, candidates
-      bracketed by two already-solved points sharing a decomposition
-      signature are *reconstructed* (see :mod:`repro.core.incremental`) and
-      certified by their allocation's saturation checks, and full solves
-      compute only the two attacker endpoint utilities instead of the whole
-      allocation.  Any reconstruction failure falls back to a full solve.
+    * audited (an auditor attached) -- every candidate gets a full solve
+      and a full, audited allocation: auditors see full-fidelity work.
+    * fast (no auditor) -- additionally, candidates bracketed by two
+      already-solved points sharing a decomposition signature are
+      *reconstructed* (see :mod:`repro.core.incremental`) and certified by
+      their allocation's saturation checks, and full solves compute only
+      the two attacker endpoint utilities instead of the whole allocation.
+      Any reconstruction failure falls back to a full solve.
 
     Reconstructed decompositions are never added to the solved-point
     records: only full solves may serve as bracketing evidence, otherwise
@@ -166,32 +125,24 @@ class _SplitEvaluator:
     def __init__(
         self, g: WeightedGraph, v: int, backend: Backend, ctx: EngineContext
     ) -> None:
-        self.g = g
-        self.v = v
         self.backend = backend
         self.ctx = ctx
-        self.columnar = ctx.engine == "columnar"
-        self.fast = self.columnar and ctx.auditor is None
-        if self.columnar:
-            base, v1, v2 = cut_ring_at(
-                g, v, backend.scalar(g.weights[v]), backend.scalar(0)
-            )
-            self.base = base
-            self.v1 = v1
-            self.v2 = v2
-            # cut_ring_at puts v^1 at id 0 and v^2 at id n; everything in
-            # between is the ring interior, constant across candidates.
-            self.interior = base.weights[1:-1]
+        self.fast = ctx.auditor is None
+        base, v1, v2 = cut_ring_at(
+            g, v, backend.scalar(g.weights[v]), backend.scalar(0)
+        )
+        self.base = base
+        self.v1 = v1
+        self.v2 = v2
+        # cut_ring_at puts v^1 at id 0 and v^2 at id n; everything in
+        # between is the ring interior, constant across candidates.
+        self.interior = base.weights[1:-1]
         self.last = None
         self._xs: list[float] = []
         self._sigs: list[tuple] = []
         self._by_sig: dict[tuple, BottleneckDecomposition] = {}
 
     def utility(self, w1b: Scalar, w2b: Scalar) -> float:
-        if not self.columnar:
-            return float(
-                attacker_utility(self.g, self.v, w1b, w2b, self.backend, self.ctx)
-            )
         # Lazy imports: repro.theory imports best_split from this module at
         # package-init time, so a top-level theory import here would cycle.
         from ..core import bd_allocation, bottleneck_decomposition
@@ -376,13 +327,3 @@ def _best_split_search(
         utility=float(best_val),
         honest_utility=honest,
     )
-
-
-def bd_allocation_utility(
-    g: WeightedGraph, v: int, backend: Backend, ctx: EngineContext | None = None
-) -> Scalar:
-    """Truthful equilibrium utility ``U_v(G; w)`` of Definition 7's
-    denominator."""
-    from ..core import bd_allocation
-
-    return bd_allocation(g, backend=backend, ctx=ctx).utilities[v]

@@ -45,14 +45,9 @@ def incentive_ratio_of_vertex(
     grid: int = 64,
     backend: Backend = FLOAT,
     ctx: EngineContext | None = None,
-    method: str = "grid",
 ) -> BestResponse:
-    """``zeta_v``: best response of a single agent (Definition 7).
-
-    ``method`` is forwarded to :func:`~repro.attack.best_response.best_split`
-    (``"grid"``, ``"exact"``, or ``"auto"``).
-    """
-    return best_split(g, v, grid=grid, backend=backend, ctx=ctx, method=method)
+    """``zeta_v``: best response of a single agent (Definition 7)."""
+    return best_split(g, v, grid=grid, backend=backend, ctx=ctx)
 
 
 def incentive_ratio(
@@ -60,12 +55,11 @@ def incentive_ratio(
     grid: int = 64,
     backend: Backend = FLOAT,
     ctx: EngineContext | None = None,
-    method: str = "grid",
 ) -> InstanceRatio:
     """``zeta`` of one ring instance: maximize ``zeta_v`` over agents."""
     require_ring(g)
     responses = tuple(
-        best_split(g, v, grid=grid, backend=backend, ctx=ctx, method=method)
+        best_split(g, v, grid=grid, backend=backend, ctx=ctx)
         for v in g.vertices()
     )
     worst = max(range(g.n), key=lambda v: responses[v].ratio)

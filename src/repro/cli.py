@@ -70,13 +70,6 @@ def _common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", default=None, help="also dump structured results to this path")
     p.add_argument("--no-cache", action="store_true",
                    help="disable the bottleneck-decomposition cache")
-    p.add_argument("--engine", default="columnar",
-                   choices=["columnar", "classic"],
-                   help="numeric substrate: columnar (CSR templates, "
-                        "warm-started Dinkelbach, segment reuse in "
-                        "best-response sweeps; bit-identical results) or "
-                        "classic (per-call network builds; the reference "
-                        "path the differential auditor cross-checks)")
     p.add_argument("--stats", action="store_true",
                    help="print engine counters (flow calls, cache hits, timings)")
     p.add_argument("--trace", action="store_true",
@@ -131,7 +124,6 @@ def _engine_context(args: argparse.Namespace) -> EngineContext:
     ctx = EngineContext(
         cache_size=0 if args.no_cache else DEFAULT_CACHE_SIZE,
         workers=args.workers,
-        engine=args.engine,
     )
     if args.trace:
         from .obs import Tracer

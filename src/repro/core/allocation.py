@@ -99,46 +99,24 @@ def _pair_network(
     C: list[int],
     sink_caps: list,
     backend: Backend,
-    ctx: EngineContext | None = None,
+    ctx: EngineContext,
 ):
     """Build the Definition-5 network for one pair; returns (net, arc map).
 
-    Under the columnar engine the arc structure comes from a context-cached
-    template (one per ``(topology, B, C)``); capacities are the same
-    expressions as the classic ``add_edge`` build, so the network -- and
-    every flow read off it -- is bit-identical either way.
+    The arc structure comes from a context-cached template (one per
+    ``(topology, B, C)``): source arcs carry ``w_u`` for ``u in B``, sink
+    arcs ``sink_caps``, and the graph edges between ``B`` and ``C`` the
+    backend's inf cap.  ``arc_of`` maps each ``(u, v)`` edge to its arc.
     """
-    if ctx is not None and ctx.engine == "columnar":
-        tpl, arc_of = ctx.pair_template(g, B, C)
-        avals = [backend.scalar(g.weights[u]) for u in B]
-        if backend.is_exact:
-            inf_cap = backend.total(avals) + 1
-            zero = inf_cap - inf_cap
-        else:
-            inf_cap = math.inf
-            zero = 0.0
-        return tpl.instantiate(avals, sink_caps, inf_cap, zero), arc_of
-    nb, nc = len(B), len(C)
-    s, t = 0, 1
-    bpos = {v: i for i, v in enumerate(B)}
-    cpos = {v: i for i, v in enumerate(C)}
-    net = FlowNetwork(2 + nb + nc)
+    tpl, arc_of = ctx.pair_template(g, B, C)
+    avals = [backend.scalar(g.weights[u]) for u in B]
     if backend.is_exact:
-        total = backend.total([backend.scalar(g.weights[v]) for v in B])
-        inf_cap = total + 1
+        inf_cap = backend.total(avals) + 1
+        zero = inf_cap - inf_cap
     else:
         inf_cap = math.inf
-    for i, u in enumerate(B):
-        net.add_edge(s, 2 + i, backend.scalar(g.weights[u]))
-    for j, v in enumerate(C):
-        net.add_edge(2 + nb + j, t, sink_caps[j])
-    arc_of: dict[tuple[int, int], int] = {}
-    for u in B:
-        for v in g.neighbors(u):
-            if v in cpos and v != u:
-                arc = net.add_edge(2 + bpos[u], 2 + nb + cpos[v], inf_cap)
-                arc_of[(u, v)] = arc
-    return net, arc_of
+        zero = 0.0
+    return tpl.instantiate(avals, sink_caps, inf_cap, zero), arc_of
 
 
 def _accumulate_pair(

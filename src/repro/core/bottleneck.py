@@ -49,7 +49,6 @@ __all__ = [
     "BottleneckDecomposition",
     "maximal_bottleneck",
     "bottleneck_decomposition",
-    "parametric_network",
 ]
 
 _MAX_DINKELBACH_ITERS = 10_000
@@ -145,42 +144,6 @@ class BottleneckDecomposition:
 # parametric machinery
 # ---------------------------------------------------------------------------
 
-def parametric_network(
-    g: WeightedGraph,
-    active: Sequence[int],
-    lam: Scalar,
-    backend: Backend,
-) -> tuple[FlowNetwork, list[int]]:
-    """Auxiliary bipartite network for ``min_S g_lambda(S)`` on ``active``.
-
-    Returns the network plus the active vertex list in left-copy order
-    (left copy of ``verts[i]`` is node ``2 + i``, right copy ``2 + nh + i``).
-    Exposed so the cross-solver property tests can exercise exactly the
-    networks the decomposition solves.
-    """
-    verts = list(active)
-    pos = {v: i for i, v in enumerate(verts)}
-    nh = len(verts)
-    s, t = 0, 1
-
-    w = [backend.scalar(g.weights[v]) for v in verts]
-    total_w = backend.total(w)
-    if backend.is_exact:
-        inf_cap = (lam + 1) * total_w + 1
-    else:
-        inf_cap = float("inf")
-
-    net = FlowNetwork(2 + 2 * nh)
-    active_set = set(verts)
-    for i, v in enumerate(verts):
-        net.add_edge(s, 2 + i, lam * w[i])
-        net.add_edge(2 + nh + i, t, w[i])
-        for u in g.neighbors(v):
-            if u in active_set:
-                net.add_edge(2 + i, 2 + nh + pos[u], inf_cap)
-    return net, verts
-
-
 def _instantiate_parametric(
     g: WeightedGraph,
     active: Sequence[int],
@@ -189,15 +152,15 @@ def _instantiate_parametric(
     ctx: EngineContext,
     w: list | None = None,
 ) -> tuple[FlowNetwork, list[int]]:
-    """Columnar-engine twin of :func:`parametric_network`.
+    """Auxiliary bipartite network for ``min_S g_lambda(S)`` on ``active``.
 
-    Same arc order and the same capacity *expressions* (``lam * w[i]``,
-    ``w[i]``, backend-dependent inf cap), so the resulting network is
-    bit-identical to the classically built one -- only the per-arc
-    validation and list regrowth are skipped, via a structure template
-    cached on the context.  The exact backend's inf cap depends on
-    ``lam``, which is why capacities are recomputed per instantiation
-    while only the arc structure is frozen.
+    Returns the network plus the active vertex list in left-copy order
+    (left copy of ``verts[i]`` is node ``2 + i``, right copy ``2 + nh +
+    i``).  The arc structure comes from a template cached on the context;
+    capacities are ``lam * w[i]`` (source arcs), ``w[i]`` (sink arcs) and
+    the backend's inf cap (bipartite arcs).  The exact backend's inf cap
+    depends on ``lam``, which is why capacities are recomputed per
+    instantiation while only the arc structure is frozen.
 
     ``w`` optionally passes the already-scalared active weights (in
     ``active`` order); the Dinkelbach loop hoists it out of its
@@ -222,16 +185,13 @@ def _maximal_minimizer(
     lam: Scalar,
     backend: Backend,
     ctx: EngineContext,
-    w: list | None = None,
+    w: list,
 ) -> set[int]:
     """Maximal minimizer of ``g_lambda`` inside the induced graph on ``active``.
 
     Returns original vertex ids.
     """
-    if ctx.engine == "columnar":
-        net, verts = _instantiate_parametric(g, active, lam, backend, ctx, w)
-    else:
-        net, verts = parametric_network(g, active, lam, backend)
+    net, verts = _instantiate_parametric(g, active, lam, backend, ctx, w)
     nh = len(verts)
     s, t = 0, 1
 
@@ -303,11 +263,7 @@ def maximal_bottleneck(
     prev_lam = lam
     # The active weights (scalared once, in `active` order) are constant
     # across the descent; only lambda moves between iterations.
-    w_cols = (
-        [backend.scalar(g.weights[v]) for v in active]
-        if ctx.engine == "columnar"
-        else None
-    )
+    w_cols = [backend.scalar(g.weights[v]) for v in active]
     for _ in range(_MAX_DINKELBACH_ITERS):
         ctx.counters.dinkelbach_iterations += 1
         with ctx.span("dinkelbach"):

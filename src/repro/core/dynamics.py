@@ -69,19 +69,6 @@ class DynamicsResult:
         return float(self.x[self.edge_index[(v, u)]])
 
 
-def _edge_arrays(g: WeightedGraph):
-    """Directed edge arrays (src, dst) plus the reverse permutation."""
-    pairs: list[tuple[int, int]] = []
-    for (u, v) in g.edges:
-        pairs.append((u, v))
-        pairs.append((v, u))
-    index = {p: i for i, p in enumerate(pairs)}
-    src = np.fromiter((p[0] for p in pairs), dtype=np.int64, count=len(pairs))
-    dst = np.fromiter((p[1] for p in pairs), dtype=np.int64, count=len(pairs))
-    rev = np.fromiter((index[(p[1], p[0])] for p in pairs), dtype=np.int64, count=len(pairs))
-    return src, dst, rev, index
-
-
 def proportional_response(
     g: WeightedGraph,
     max_iters: int = 100_000,
@@ -114,22 +101,15 @@ def proportional_response(
         raise ValueError(f"damping must be in [0, 1], got {damping}")
 
     n = g.n
-    if rctx.engine == "columnar":
-        # Same arrays in the same directed-pair order (the columnar builder
-        # preserves _edge_arrays' (u,v),(v,u) emission), but cached on the
-        # graph's CSR view, and the float64 weight column is reused when the
-        # weights are float-able.  Fraction weights fall back to the same
-        # per-element float() conversion as the classic path -- never an
-        # object-dtype array.
-        cols = ColumnarGraph.from_graph(g)
-        src, dst, rev, index = cols.directed_arrays()
-        wf = cols.float_weights()
-        w = wf if wf is not None else np.asarray([float(x) for x in g.weights])
-        deg = np.asarray(cols.indptr[1:] - cols.indptr[:-1], dtype=np.float64)
-    else:
-        src, dst, rev, index = _edge_arrays(g)
-        w = np.asarray([float(x) for x in g.weights])
-        deg = np.asarray([g.degree(v) for v in range(n)], dtype=np.float64)
+    # Directed-edge arrays in (u,v),(v,u) order per sorted edge, cached on
+    # the graph's CSR view; the float64 weight column is reused when the
+    # weights are float-able.  Fraction weights take a per-element float()
+    # conversion -- never an object-dtype array.
+    cols = ColumnarGraph.from_graph(g)
+    src, dst, rev, index = cols.directed_arrays()
+    wf = cols.float_weights()
+    w = wf if wf is not None else np.asarray([float(x) for x in g.weights])
+    deg = np.asarray(cols.indptr[1:] - cols.indptr[:-1], dtype=np.float64)
 
     x = w[src] / deg[src]
     prev = x.copy()

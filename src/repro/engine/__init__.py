@@ -9,6 +9,7 @@ This package is a *leaf* of the library's import graph (it depends only on
 from .cache import DecompositionCache, decomposition_key, instance_signature
 from .context import (
     DEFAULT_CACHE_SIZE,
+    ENGINE_NAME,
     NULL_SPAN,
     SOLVER_NAME,
     EngineContext,
@@ -34,5 +35,6 @@ __all__ = [
     "default_context",
     "resolve_context",
     "using_context",
+    "ENGINE_NAME",
     "SOLVER_NAME",
 ]

@@ -39,6 +39,7 @@ __all__ = [
     "EngineSpec",
     "EngineContext",
     "NULL_SPAN",
+    "ENGINE_NAME",
     "SOLVER_NAME",
     "default_context",
     "resolve_context",
@@ -51,6 +52,12 @@ __all__ = [
 #: records carry it, so journals, snapshots and records written while the
 #: solver was selectable still load.
 SOLVER_NAME = "dinic"
+
+#: Name of the engine as on-disk state spells it.  Sweep, scenario and
+#: serve-durability fingerprints hash it next to :data:`SOLVER_NAME`, so
+#: checkpoints, journals and snapshots written while a second engine was
+#: selectable still load.
+ENGINE_NAME = "columnar"
 
 #: Process-global fault-injection hook on the flow boundary, installed by
 #: :mod:`repro.runtime.faults` (``None`` = zero overhead beyond one load).
@@ -116,7 +123,6 @@ class EngineSpec:
     audit: str = "off"
     corpus_dir: Optional[str] = None
     trace: bool = False
-    engine: str = "columnar"
     #: Free-form discriminator, not part of the built context.  Two specs
     #: that differ only in ``tag`` build identical contexts but memoize
     #: *separately* in worker processes (``_context_for`` keys on the whole
@@ -130,7 +136,6 @@ class EngineSpec:
             zero_tol=self.zero_tol,
             cache_size=self.cache_size,
             workers=self.workers,
-            engine=self.engine,
         )
         if self.trace:
             # Lazy import for the same leaf-package reason as the auditor:
@@ -169,20 +174,12 @@ class EngineContext:
         LRU capacity of the decomposition cache; ``0`` disables caching.
     workers:
         Default process count for parallel sweeps (``0`` = serial).
-    engine:
-        ``"columnar"`` (default) routes the hot numeric paths through the
-        CSR substrate: flow-template instantiation, warm-started
-        Dinkelbach, vectorized dynamics arrays, and (auditor-off only)
-        segment-reuse in the best-response search.  ``"classic"`` keeps the
-        original per-object construction everywhere -- the reference path
-        the differential checks compare against.
     """
 
     backend: Backend = FLOAT
     zero_tol: float = 0.0
     cache_size: int = DEFAULT_CACHE_SIZE
     workers: int = 0
-    engine: str = "columnar"
     cache: DecompositionCache = field(default=None, repr=False)  # type: ignore[assignment]
     counters: Counters = field(default_factory=Counters, repr=False)
     #: Optional audit hook (see :mod:`repro.oracle`).  Typed loosely so the
@@ -194,7 +191,7 @@ class EngineContext:
     #: :class:`repro.runtime.RuntimePolicy`).  Loosely typed for the same
     #: leaf-package reason as ``auditor``; consumers read it via
     #: ``getattr(ctx, "runtime", None)`` semantics and fall back to the
-    #: unsupervised legacy behavior when absent.
+    #: default policy when absent.
     runtime: object = field(default=None, repr=False)
     #: Optional span tracer (see :class:`repro.obs.Tracer`).  Loosely typed
     #: so ``engine`` stays an import-graph leaf; anything with ``enabled``,
@@ -211,9 +208,6 @@ class EngineContext:
     def __post_init__(self) -> None:
         if self.workers < 0:
             raise EngineError(f"workers must be >= 0, got {self.workers}")
-        if self.engine not in ("columnar", "classic"):
-            raise EngineError(
-                f"unknown engine {self.engine!r} (expected 'columnar' or 'classic')")
         if self.cache is None:
             self.cache = DecompositionCache(self.cache_size)
         else:
@@ -354,7 +348,6 @@ class EngineContext:
             zero_tol=self.zero_tol,
             cache_size=self.cache.maxsize,
             workers=self.workers,
-            engine=self.engine,
             audit=getattr(self.auditor, "level_name", "off") if self.auditor else "off",
             corpus_dir=getattr(self.auditor, "corpus_dir", None) if self.auditor else None,
             trace=self.tracer is not None,
@@ -367,7 +360,6 @@ class EngineContext:
         out = self.counters.snapshot()
         out["cache"] = self.cache.stats()
         out["backend"] = self.backend.name
-        out["engine"] = self.engine
         out["spans"] = self.tracer.snapshot() if self.tracer is not None else {}
         return out
 
@@ -405,7 +397,7 @@ def using_context(ctx: EngineContext):
 
     Everything that receives ``ctx=None`` inside the ``with`` body --
     including experiment modules that have not grown a ``ctx`` parameter --
-    resolves to ``ctx``, so the CLI's ``--no-cache``/``--engine`` flags
+    resolves to ``ctx``, so the CLI's ``--no-cache``/``--audit`` flags
     reach every solve of a run.  The previous default is restored on exit.
     """
     global _DEFAULT_CONTEXT

@@ -77,7 +77,8 @@ class FlowTemplate:
         ``zero`` must be the backend's zero of the same scalar type as the
         capacities (``0.0`` float / ``Fraction(0)`` exact) -- the same value
         ``add_edge`` would have derived for each reverse arc, so solver
-        arithmetic stays bit-identical to a classically built network.
+        arithmetic stays bit-identical to the same network built arc by arc
+        with ``add_edge``.
         ``head``/``adj`` are shared with the template (never mutated by the
         solvers); ``cap``/``orig_cap`` are fresh per instance.
         """
@@ -119,8 +120,10 @@ def _builder(n: int):
 
 
 def parametric_template(g, active: Sequence[int]) -> FlowTemplate:
-    """Template matching ``core.bottleneck.parametric_network`` arc-for-arc.
+    """Template of the parametric bottleneck network on ``active``.
 
+    Per active vertex: a source arc into its left copy, a sink arc out of
+    its right copy, then one bipartite arc per active neighbor.
     ``active`` must be the sorted active-vertex list the caller will use as
     ``verts``.  Instantiate with ``avals = [lam * w_i]`` (source arcs) and
     ``bvals = [w_i]`` (sink arcs); middle bipartite arcs are ``KIND_INF``.
@@ -140,13 +143,13 @@ def parametric_template(g, active: Sequence[int]) -> FlowTemplate:
 
 
 def pair_template(g, B: Sequence[int], C: Sequence[int]):
-    """Template + arc map matching ``core.allocation._pair_network``.
+    """Template + arc map of the Definition-5 network of one pair.
 
-    ``B``/``C`` must be the exact (sorted) member lists the classic builder
-    receives.  Instantiate with ``avals = [w_u for u in B]`` and
-    ``bvals = sink_caps``.  Returns ``(template, arc_of)`` where ``arc_of``
-    maps ``(u, v)`` resource edges to forward arc ids; the dict is shared
-    read-only across instantiations.
+    ``B``/``C`` must be the sorted member lists of the pair.  Instantiate
+    with ``avals = [w_u for u in B]`` and ``bvals = sink_caps``.  Returns
+    ``(template, arc_of)`` where ``arc_of`` maps ``(u, v)`` resource edges
+    to forward arc ids; the dict is shared read-only across
+    instantiations.
     """
     B = list(B)
     C = list(C)

@@ -148,9 +148,8 @@ class ColumnarGraph:
         """Directed edge arrays ``(src, dst, rev, index)`` for the dynamics.
 
         Ordering contract: pairs are emitted per sorted undirected edge as
-        ``(u, v), (v, u)`` -- exactly the order the scalar
-        ``dynamics._edge_arrays`` historically produced -- so ``bincount``
-        accumulations are bit-identical between the engines.  The reverse
+        ``(u, v), (v, u)`` -- the order of ``WeightedGraph.edges`` -- so
+        ``bincount`` accumulations follow the edge list.  The reverse
         permutation is then just ``i ^ 1``.
         """
         if self._directed is None:

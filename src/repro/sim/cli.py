@@ -78,8 +78,6 @@ def _common(p: argparse.ArgumentParser) -> None:
                    help="also dump the full structured result to this path")
     p.add_argument("--no-cache", action="store_true",
                    help="disable the bottleneck-decomposition cache")
-    p.add_argument("--engine", default="columnar",
-                   choices=["columnar", "classic"])
     p.add_argument("--stats", action="store_true",
                    help="print engine counters after the run")
     p.add_argument("--trace", action="store_true",

@@ -43,7 +43,7 @@ from typing import Optional
 
 from ..analysis.parallel import _context_for
 from ..attack import best_split
-from ..engine import SOLVER_NAME, EngineContext, EngineSpec, resolve_context
+from ..engine import ENGINE_NAME, SOLVER_NAME, EngineContext, EngineSpec, resolve_context
 from ..graphs import WeightedGraph
 from ..numeric import EXACT
 from ..oracle import (
@@ -87,7 +87,7 @@ def scenario_fingerprint(scenario: Scenario, spec: EngineSpec | None) -> str:
     """
     engine = ()
     if spec is not None:
-        engine = (SOLVER_NAME, spec.backend.name, spec.zero_tol, spec.engine)
+        engine = (SOLVER_NAME, spec.backend.name, spec.zero_tol, ENGINE_NAME)
     return fingerprint_of(
         kind="repro-sim/1",
         scenario=scenario.fingerprint_fields(),

@@ -11,7 +11,23 @@ from repro.analysis import (
 from repro.core import bd_allocation, proportional_response
 from repro.exceptions import ReproError
 from repro.graphs import path, random_ring, ring
+from repro.graphs.columnar import ColumnarGraph
 from repro.numeric import FLOAT
+
+
+def _edge_arrays(g):
+    """Order reference: directed edge arrays (src, dst) plus the reverse
+    permutation, built pair by pair from ``g.edges``."""
+    pairs: list[tuple[int, int]] = []
+    for (u, v) in g.edges:
+        pairs.append((u, v))
+        pairs.append((v, u))
+    index = {p: i for i, p in enumerate(pairs)}
+    src = np.fromiter((p[0] for p in pairs), dtype=np.int64, count=len(pairs))
+    dst = np.fromiter((p[1] for p in pairs), dtype=np.int64, count=len(pairs))
+    rev = np.fromiter((index[(p[1], p[0])] for p in pairs), dtype=np.int64,
+                      count=len(pairs))
+    return src, dst, rev, index
 
 
 def test_jacobian_shape_and_fixed_point_property():
@@ -28,9 +44,12 @@ def test_jacobian_shape_and_fixed_point_property():
 
 def test_jacobian_matches_finite_differences():
     g = ring([1.0, 2.0, 3.0, 4.0, 5.0])
-    from repro.core.dynamics import _edge_arrays
-
     src, dst, rev, index = _edge_arrays(g)
+    # the Jacobian is indexed by the columnar arrays: same order as the
+    # reference, so J and the finite differences below line up
+    csrc, cdst, crev, cindex = ColumnarGraph.from_graph(g).directed_arrays()
+    assert csrc.tobytes() == src.tobytes() and cdst.tobytes() == dst.tobytes()
+    assert crev.tobytes() == rev.tobytes() and cindex == index
     alloc = bd_allocation(g, backend=FLOAT)
     x0 = np.zeros(len(src))
     for (a, b), i in index.items():

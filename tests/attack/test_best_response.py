@@ -1,5 +1,7 @@
 """Tests for best-response search and incentive ratios (Theorem 8)."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from repro.attack import (
 )
 from repro.exceptions import AttackError
 from repro.graphs import path, random_ring, ring
-from repro.numeric import FLOAT
+from repro.numeric import EXACT, FLOAT
 
 
 def test_best_split_at_least_honest():
@@ -65,6 +67,12 @@ def test_lower_bound_family_structure():
     assert 1.9 < r.ratio <= 2.0
     # the optimal second weight is ~ 1/H^2
     assert r.w2 == pytest.approx(1e-4, rel=0.5)
+    # Theorem 8 on the exact backend, H = 50: every candidate is solved in
+    # Fractions, and the ratio is already near 2 (1.9612 at grid 24)
+    F = Fraction
+    g = ring([F(1), F(1), F(1, 50), F(1, 50), F(50)])
+    r = best_split(g, 1, grid=24, backend=EXACT)
+    assert 1.7 < r.ratio <= 2.0
 
 
 def test_lower_bound_ring_validates_H():
@@ -84,10 +92,13 @@ def test_best_split_rejects_tiny_grid():
 
 
 def test_zero_weight_attacker_ratio_is_one():
-    g = ring([0.0, 1.0, 2.0, 1.0])
-    r = best_split(g, 0, grid=8)
-    assert r.utility == 0.0
-    assert r.ratio == 1.0
+    for g, backend in (
+        (ring([0.0, 1.0, 2.0, 1.0]), FLOAT),
+        (ring([Fraction(0), Fraction(1), Fraction(2)]), EXACT),
+    ):
+        r = best_split(g, 0, grid=8, backend=backend)
+        assert r.utility == 0.0
+        assert r.ratio == 1.0
 
 
 def test_incentive_ratio_of_vertex_matches_instance_entry():

@@ -25,6 +25,22 @@ from repro.numeric import EXACT, FLOAT
 from repro.theory.breakpoints import decomposition_signature
 
 
+class _SilentAuditor:
+    """Selects the best-response search's audited mode (full solves and
+    full allocations for every candidate) without running any checks."""
+
+    def on_flow(self, *args):
+        pass
+
+    on_decomposition = on_allocation = on_best_response = on_flow
+
+
+def audited_context() -> EngineContext:
+    ctx = EngineContext()
+    ctx.auditor = _SilentAuditor()
+    return ctx
+
+
 def _split_path(w1):
     """The cut-ring path family the best-response sweep actually evaluates."""
     g = ring([4.0, 1.0, 2.0, 3.0, 5.0])
@@ -99,22 +115,24 @@ def test_certified_utilities_match_full_allocation(backend):
     assert c1 == alloc.utilities[v1] and c2 == alloc.utilities[v2]
 
 
-def test_columnar_sweep_reconstructs_and_matches_classic():
-    # End-to-end: a best-response sweep under the columnar engine actually
-    # exercises segment reuse (reconstructions + warm starts, strictly
-    # fewer full solves) and still lands on the classic answer bit-for-bit.
+def test_fast_sweep_reconstructs_and_matches_audited():
+    # End-to-end: the fast best-response sweep actually exercises segment
+    # reuse (reconstructions + warm starts, strictly fewer full solves) and
+    # still lands on the audited sweep's answer (a full solve and a full
+    # allocation per candidate) bit-for-bit.
     from repro.attack import best_split
 
     g = ring([4.0, 1.0, 2.0, 3.0, 5.0, 2.5, 1.5, 3.5])
-    cols, classic = EngineContext(engine="columnar"), EngineContext(engine="classic")
-    rk = best_split(g, 0, grid=24, ctx=cols)
-    rc = best_split(g, 0, grid=24, ctx=classic)
+    fast, audited = EngineContext(), audited_context()
+    rk = best_split(g, 0, grid=24, ctx=fast)
+    rc = best_split(g, 0, grid=24, ctx=audited)
     assert (rk.w1, rk.w2, rk.utility, rk.honest_utility) == (
         rc.w1, rc.w2, rc.utility, rc.honest_utility
     )
-    assert cols.counters.decomp_reconstructions > 0
-    assert cols.counters.warm_starts > 0
-    assert cols.counters.decompositions < classic.counters.decompositions
+    assert fast.counters.decomp_reconstructions > 0
+    assert fast.counters.warm_starts > 0
+    assert audited.counters.decomp_reconstructions == 0
+    assert fast.counters.decompositions < audited.counters.decompositions
 
 
 def test_certified_utilities_resolve_touched_pairs():

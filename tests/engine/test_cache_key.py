@@ -1,10 +1,8 @@
-"""Cache-key regression tests for the CSR-bytes key (satellite of the
-columnar engine change).
+"""Cache-key regression tests for the CSR-bytes key.
 
 The key must be a pure function of (instance bits, backend) -- emphatically
-NOT of the engine -- so a decomposition solved under ``classic`` is a cache
-hit for ``columnar`` and vice versa, which is what the differential auditor
-relies on when it runs both engines over one context.
+NOT of the engine context that solved it -- so a decomposition solved under
+one context is a cache hit under any other that shares the cache.
 """
 
 from fractions import Fraction
@@ -18,15 +16,16 @@ from repro.numeric import EXACT, FLOAT
 
 def test_key_is_engine_independent():
     # the key never looks at a context, but pin the consequence end-to-end:
-    # a columnar-context solve is a classic-context cache hit
+    # a solve under one context is a cache hit under another
     g = ring([3.0, 1.0, 4.0, 1.0])
     key = decomposition_key(g, FLOAT)
-    ctx = EngineContext(engine="columnar")
+    ctx = EngineContext()
     d = bottleneck_decomposition(g, FLOAT, ctx)
     assert ctx.cache.get(key) is d
-    classic = EngineContext(engine="classic")
-    classic.cache.put(key, d)
-    assert bottleneck_decomposition(g, FLOAT, classic) is d  # served, not solved
+    other = EngineContext(cache_size=8, workers=2)
+    other.cache.put(key, d)
+    assert bottleneck_decomposition(g, FLOAT, other) is d  # served, not solved
+    assert other.counters.flow_calls == 0
 
 
 def test_equal_instances_share_a_key():

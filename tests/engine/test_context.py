@@ -41,9 +41,14 @@ def test_resolve_context_shares_one_default():
 
 
 def test_unknown_solver_fails_fast():
-    # Max flow is always Dinic: a context refuses to be given a solver.
+    # Max flow is always Dinic and there is one engine: neither a context
+    # nor a spec can be given a solver or an engine.
     with pytest.raises(TypeError):
         EngineContext(solver="simplex")
+    with pytest.raises(TypeError):
+        EngineContext(engine="classic")
+    with pytest.raises(TypeError):
+        EngineSpec(engine="classic")
     with pytest.raises(EngineError):
         EngineContext(workers=-1)
 
@@ -57,15 +62,13 @@ def test_max_flow_counts_calls():
 
 def test_spec_round_trip_and_pickling():
     ctx = EngineContext(backend=EXACT, zero_tol=0.0, cache_size=16,
-                        workers=3, engine="classic")
+                        workers=3)
     spec = ctx.spec()
-    assert spec == EngineSpec(backend=EXACT, cache_size=16, workers=3,
-                              engine="classic")
+    assert spec == EngineSpec(backend=EXACT, cache_size=16, workers=3)
     revived = pickle.loads(pickle.dumps(spec))
     assert revived == spec
     assert hash(revived) == hash(spec)
     rebuilt = revived.build()
-    assert rebuilt.engine == "classic"
     assert rebuilt.backend == EXACT  # pickling copies the Backend value
     assert rebuilt.cache.maxsize == 16
     assert rebuilt.workers == 3

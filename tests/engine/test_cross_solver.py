@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from repro.core import bottleneck_decomposition
-from repro.core.bottleneck import parametric_network
+from repro.core.bottleneck import _instantiate_parametric
+from repro.engine import EngineContext
 from repro.flow import dinic_max_flow, edmonds_karp_max_flow
 from repro.flow.mincut import max_source_side
 from repro.graphs import random_ring
@@ -26,8 +27,9 @@ SOLVERS = {"dinic": dinic_max_flow, "edmonds_karp": edmonds_karp_max_flow}
 def _solve_all(g, active, lam, backend):
     """(value, source_side) per solver on fresh copies of the same network."""
     out = {}
+    ctx = EngineContext()
     for name, solver in SOLVERS.items():
-        net, _ = parametric_network(g, active, lam, backend)
+        net, _ = _instantiate_parametric(g, active, lam, backend, ctx)
         value = solver(net, 0, 1, 0.0)
         out[name] = (value, max_source_side(net, 1, 0.0))
     return out

@@ -26,7 +26,6 @@ def _worker_probe(spec: EngineSpec) -> dict:
     g = ring([Fraction(1), Fraction(2), Fraction(3), Fraction(4)])
     d = bottleneck_decomposition(g, ctx.backend, ctx)
     return {
-        "engine": ctx.engine,
         "backend": ctx.backend.name,
         "cache_maxsize": ctx.cache.maxsize,
         "workers": ctx.workers,
@@ -38,8 +37,7 @@ def _worker_probe(spec: EngineSpec) -> dict:
 
 @pytest.mark.parametrize("audit", ["off", "cheap"])
 def test_spec_rebuilds_equivalent_context_in_worker_process(audit):
-    parent = EngineContext(engine="classic", backend=EXACT, cache_size=7,
-                           workers=2)
+    parent = EngineContext(backend=EXACT, cache_size=7, workers=2)
     if audit != "off":
         from repro.oracle import attach_auditor
 
@@ -49,7 +47,6 @@ def test_spec_rebuilds_equivalent_context_in_worker_process(audit):
     with mp.get_context("fork").Pool(1) as pool:
         probe = pool.apply(_worker_probe, (spec,))
 
-    assert probe["engine"] == "classic"
     assert probe["backend"] == EXACT.name
     assert probe["cache_maxsize"] == 7
     assert probe["workers"] == 2

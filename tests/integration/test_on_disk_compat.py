@@ -1,11 +1,13 @@
-"""On-disk state written while the max-flow solver was selectable still loads.
+"""On-disk state written while the max-flow solver and the engine were
+selectable still loads.
 
 Sweep checkpoints, simulator journals, experiment-suite journals and the
 serve write-ahead journal and cache snapshot are guarded by fingerprints
-that once hashed the configured solver name.  They now hash the fixed name
-``"dinic"`` in its place; the values pinned here are what each fingerprint
-was for the same input when ``"dinic"`` was the default choice, so state
-written then resumes instead of being refused as foreign.
+that once hashed the configured solver name and engine.  They now hash the
+fixed names ``"dinic"`` and ``"columnar"`` in their place; the values
+pinned here are what each fingerprint was for the same input when those
+were the default choices, so state written then resumes instead of being
+refused as foreign.
 """
 
 import pytest

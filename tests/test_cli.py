@@ -79,8 +79,15 @@ def test_parser_rejects_bad_audit_level():
 
 
 def test_parser_rejects_bad_solver():
+    from repro.sim.cli import build_parser as build_sim_parser
+
     with pytest.raises(SystemExit):
         build_parser().parse_args(["run", "EXP-T8", "--solver", "simplex"])
+    # there is one engine: neither CLI takes an --engine flag any more
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["run", "EXP-T8", "--engine", "classic"])
+    with pytest.raises(SystemExit):
+        build_sim_parser().parse_args(["run", "EXP-S1", "--engine", "classic"])
 
 
 def test_parser_rejects_bad_scale():
