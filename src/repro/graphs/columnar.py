@@ -268,22 +268,31 @@ def canonical_form(g: "WeightedGraph") -> tuple[bytes, tuple[int, ...]]:
       minimal arrangements are broken by enumeration order, and the
       representative is enumerated first), so re-canonicalizing a served
       instance never introduces a second permutation.
+
+    The minimal arrangement starts at a vertex of least byte image, so
+    only those rotations and reflections are compared, in the order of
+    the full enumeration (every rotation of the cycle, then every rotation
+    of its reflection) and under the same strict comparison; the result
+    is the full enumeration's, byte for byte.  With a unique least weight
+    that is two candidates, so a ring costs O(n); k tied least weights
+    cost O(k n).
     """
     n = g.n
     if g.is_ring():
         per_vertex = [weight_bytes((w,)) for w in g.weights]
+        least = min(per_vertex)
         cyc = _ring_cycle(g)
-        reflected = [cyc[0]] + cyc[:0:-1]
-        best: tuple[bytes, ...] | None = None
-        best_order: tuple[int, ...] = ()
-        for seq in (cyc, reflected):
-            for r in range(n):
-                order = tuple(seq[r:] + seq[:r])
-                cand = tuple(per_vertex[v] for v in order)
+        best = best_order = None
+        for seq in (cyc, [cyc[0]] + cyc[:0:-1]):
+            images = [per_vertex[v] for v in seq]
+            for r, image in enumerate(images):
+                if image != least:
+                    continue
+                cand = images[r:] + images[:r]
                 if best is None or cand < best:
-                    best, best_order = cand, order
+                    best, best_order = cand, seq[r:] + seq[:r]
         key = b"ring:" + struct.pack("<q", n) + b"|".join(best)  # type: ignore[arg-type]
-        return key, best_order
+        return key, tuple(best_order)  # type: ignore[arg-type]
     cols = ColumnarGraph.from_graph(g)
     key = (b"gen:" + struct.pack("<q", n) + cols.indptr.tobytes()
            + cols.indices.tobytes() + b"#" + weight_bytes(g.weights))

@@ -35,6 +35,7 @@ from .validate import (
     MAX_VERTICES,
     SERVE_OPS,
     check_scalar,
+    graph_weights_from_dict,
     scalar_from_json,
     set_validation,
     validate_graph_dict,
@@ -48,6 +49,7 @@ __all__ = [
     "MAX_EDGES",
     "SERVE_OPS",
     "check_scalar",
+    "graph_weights_from_dict",
     "scalar_from_json",
     "validate_graph_dict",
     "validate_network_dict",

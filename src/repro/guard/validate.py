@@ -25,7 +25,7 @@ import math
 import re
 from fractions import Fraction
 from operator import index as _as_index
-from typing import Any
+from typing import Any, Optional
 
 from ..exceptions import MalformedInputError
 from ..numeric import Scalar
@@ -35,6 +35,7 @@ __all__ = [
     "MAX_EDGES",
     "SERVE_OPS",
     "check_scalar",
+    "graph_weights_from_dict",
     "scalar_from_json",
     "validate_graph_dict",
     "validate_network_dict",
@@ -198,6 +199,19 @@ def validate_graph_dict(d: Any) -> dict:
     which raises the established :class:`~repro.exceptions.GraphError`
     taxonomy.
     """
+    _check_graph_payload(d, decode=_VALIDATION)
+    return d
+
+
+def graph_weights_from_dict(d: Any) -> list:
+    """:func:`validate_graph_dict`'s pass that also returns the decoded
+    weights, each decoded once (whatever the validation switch says)."""
+    return _check_graph_payload(d, decode=True)
+
+
+def _check_graph_payload(d: Any, decode: bool) -> Optional[list]:
+    """The checks of :func:`validate_graph_dict`; the weights are decoded
+    (and returned) only when ``decode`` is set."""
     if not isinstance(d, dict):
         raise _reject("graph payload is not an object", type(d).__name__)
     for key in ("n", "edges", "weights"):
@@ -223,9 +237,10 @@ def validate_graph_dict(d: Any) -> dict:
         raise MalformedInputError(
             f"graph payload has {len(weights)} weights for n={n}"
         )
-    if _VALIDATION:
-        for i, w in enumerate(weights):
-            scalar_from_json(w, what=f"weight of vertex {i}")
+    decoded = None
+    if decode:
+        decoded = [scalar_from_json(w, what=f"weight of vertex {i}")
+                   for i, w in enumerate(weights)]
     labels = d.get("labels")
     if labels is not None:
         if not isinstance(labels, (list, tuple)) or len(labels) != n:
@@ -233,7 +248,7 @@ def validate_graph_dict(d: Any) -> dict:
         for lab in labels:
             if not isinstance(lab, str):
                 raise _reject("graph label is not a string", lab)
-    return d
+    return decoded
 
 
 #: Operations the ``repro-serve`` wire protocol accepts.  ``solve`` is the

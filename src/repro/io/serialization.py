@@ -17,7 +17,11 @@ from typing import Any
 from ..exceptions import MalformedInputError
 from ..flow.network import FlowNetwork
 from ..graphs import WeightedGraph
-from ..guard import scalar_from_json, validate_graph_dict, validate_network_dict
+from ..guard import (
+    graph_weights_from_dict,
+    scalar_from_json,
+    validate_network_dict,
+)
 from ..numeric import Scalar
 
 __all__ = ["graph_to_dict", "graph_from_dict", "dump_graph", "load_graph",
@@ -67,16 +71,16 @@ def graph_to_dict(g: WeightedGraph) -> dict:
 def graph_from_dict(d: dict) -> WeightedGraph:
     """Construct a graph from an untrusted ``graph_to_dict`` payload.
 
-    The payload shape and every scalar are validated first
-    (:func:`repro.guard.validate_graph_dict`); structural problems the
-    shape pass cannot see (duplicate edges, self-loops) still raise the
-    constructor's :class:`~repro.exceptions.GraphError` taxonomy.
+    The payload shape and every scalar are validated first, each weight
+    decoded once (:func:`repro.guard.graph_weights_from_dict`); structural
+    problems the shape pass cannot see (duplicate edges, self-loops) still
+    raise the constructor's :class:`~repro.exceptions.GraphError` taxonomy.
     """
-    validate_graph_dict(d)
+    weights = graph_weights_from_dict(d)
     return WeightedGraph(
         int(d["n"]),
         [tuple(e) for e in d["edges"]],
-        [scalar_from_json(w) for w in d["weights"]],
+        weights,
         d.get("labels"),
     )
 

@@ -20,6 +20,8 @@ Four cooperating pieces:
   degrades to serial in-process execution when the pool is unrecoverable.
   Its workers come from a :class:`WorkerPool`: a transient one per map, or
   one a caller keeps open across maps (the serving layer's shards).
+  :func:`supervised_map_async` is its awaitable twin over a borrowed pool,
+  the same state machine driven from an event loop.
 * :class:`CheckpointJournal` (:mod:`repro.runtime.checkpoint`) -- the
   append-only, fsynced, bit-exact journal that lets a killed run resume
   without recomputing (or perturbing) completed cells.
@@ -49,12 +51,18 @@ from .faults import (
     parse_fault_spec,
 )
 from .policy import RuntimePolicy, resolve_policy
-from .supervisor import WorkerPool, run_cell, supervised_map
+from .supervisor import (
+    WorkerPool,
+    run_cell,
+    supervised_map,
+    supervised_map_async,
+)
 
 __all__ = [
     "RuntimePolicy",
     "resolve_policy",
     "supervised_map",
+    "supervised_map_async",
     "run_cell",
     "WorkerPool",
     "CheckpointJournal",

@@ -33,10 +33,11 @@ worker starts, so a worker killed mid-message reads as end-of-file and a
 task sent to a dead worker fails with a broken pipe.
 The supervisor sleeps in :func:`multiprocessing.connection.wait` on the
 busy workers' pipes and process sentinels, so a result or a death wakes
-it at once.  Worker-side exceptions cross the pipe as metadata (never
-pickled exception objects), and an optional checkpoint journal records
-each completed cell durably, in completion order, keyed by submission
-index.
+it at once; :func:`supervised_map_async` awaits the same handles as
+event-loop readers instead, over the same state machine.  Worker-side
+exceptions cross the pipe as metadata (never pickled exception objects),
+and an optional checkpoint journal records each completed cell durably,
+in completion order, keyed by submission index.
 
 Every map borrows its workers from a :class:`WorkerPool`: a transient one
 closed on return, or one the caller keeps open across maps.
@@ -86,7 +87,7 @@ from .faults import (
 )
 from .policy import RuntimePolicy
 
-__all__ = ["WorkerPool", "supervised_map", "run_cell"]
+__all__ = ["WorkerPool", "supervised_map", "supervised_map_async", "run_cell"]
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -244,13 +245,15 @@ def _worker_main(task_conn, result_conn, arm: Optional[_Arm]) -> None:
     OOM-killing the worker, and a CPU-runaway cell is killed by the kernel
     at the CPU budget (surfacing as a crash the supervisor requeues).
 
-    Every result message carries, as its last slot, the worker's metrics
-    delta -- counters and spans the cell accumulated on this process's
-    registered engine contexts (see :mod:`repro.obs.metrics`) -- so the
-    supervisor can merge true worker-side work totals into the parent
-    context instead of dropping them with the worker.  The delta is
-    ``None`` for cells that touched no engine context, and stays a small
-    flat dict otherwise, preserving the atomic-pipe-write size assumption.
+    Every result message carries the worker's metrics delta -- counters
+    and spans the cell accumulated on this process's registered engine
+    contexts (see :mod:`repro.obs.metrics`) -- so the supervisor can merge
+    true worker-side work totals into the parent context instead of
+    dropping them with the worker.  The delta is ``None`` for cells that
+    touched no engine context, and stays a small flat dict otherwise,
+    preserving the atomic-pipe-write size assumption.  Next to it, as the
+    last slot, rides the attempt's own monotonic wall time around the cell
+    function, never inside the result value.
     """
     _bind_to_parent_death()
     # Work the parent had not yet drained when it forked is the parent's
@@ -270,14 +273,17 @@ def _worker_main(task_conn, result_conn, arm: Optional[_Arm]) -> None:
             fn, injector = _arm_worker(msg, injector)
             continue
         index, attempt, item = msg
+        started = time.monotonic()
         try:
             if injector is not None:
                 injector.fire("worker", index=index, attempt=attempt)  # may _exit
                 injector.fire("cell", index=index, attempt=attempt)
             value = fn(item)
+            seconds = time.monotonic() - started
             result_conn.send((index, attempt, True, value, None,
-                              drain_worker_metrics()))
+                              drain_worker_metrics(), seconds))
         except BaseException as exc:  # noqa: BLE001 - must report, not die
+            seconds = time.monotonic() - started
             exc = translate_resource_errors(exc)
             result_conn.send((
                 index, attempt, False, None,
@@ -290,6 +296,7 @@ def _worker_main(task_conn, result_conn, arm: Optional[_Arm]) -> None:
                 # Work done before the failure is still work done -- ship
                 # the partial delta so retried cells are counted honestly.
                 drain_worker_metrics(),
+                seconds,
             ))
 
 
@@ -439,7 +446,21 @@ class WorkerPool:
 # ---------------------------------------------------------------------------
 
 class _Supervisor:
-    """State of one supervised parallel map."""
+    """State of one supervised parallel map, as non-blocking steps around
+    one wait.
+
+    :meth:`_queue` seeds the results from the journal and queues the
+    rest; :meth:`_arm` arms the pool for the map.  Each round then runs
+    :meth:`_step_in_process` (whatever must solve in this process: queued
+    escalations, then degradation once it is due), hands ready cells to
+    idle workers (:meth:`_assign_ready_work`), waits on what
+    :meth:`_wait_args` names -- the busy workers' result pipes and
+    sentinels, for at most :meth:`_wake_timeout` -- and settles what the
+    wait announced (:meth:`_collect`).  :meth:`run` drives the rounds with
+    a blocking wait; :meth:`run_async` awaits the same handles as
+    event-loop readers and runs the in-process step on an executor thread,
+    so the loop never solves and never sleeps through a backoff.
+    """
 
     def __init__(
         self,
@@ -455,6 +476,7 @@ class _Supervisor:
         deadlines: Optional[list] = None,
         on_deadline=None,
         pool: Optional[WorkerPool] = None,
+        timings: Optional[dict] = None,
     ) -> None:
         self.fn = fn
         self.items = list(items)
@@ -469,14 +491,21 @@ class _Supervisor:
         #: result value.  See supervised_map(budgets=..., on_deadline=...).
         self.deadlines = deadlines
         self.on_deadline = on_deadline
+        #: Submission index -> the worker's wall seconds for the attempt
+        #: that produced the value (see supervised_map(timings=...)).
+        self.timings = timings
         self.results: dict[int, object] = {}
         self.pending: deque[tuple[float, int, int]] = deque()  # (ready_at, idx, attempt)
         self.inflight: dict[int, tuple[int, int, float]] = {}  # wid -> (idx, attempt, deadline)
+        #: Cells whose float retries ran out on an escalatable failure,
+        #: waiting for escalate_fn in this process.
+        self.escalations: deque[int] = deque()
         self.processes = processes
-        #: The borrowed pool, or ``None`` until run() builds a transient one.
+        #: The borrowed pool, or ``None`` until _queue() builds a transient one.
         self.pool = pool
         self._owns_pool = pool is None
         self._deaths_since_progress = 0
+        self._degrade_due = False
         self._degraded = False
 
     # -- worker lifecycle -------------------------------------------------
@@ -550,7 +579,7 @@ class _Supervisor:
             if (self.policy.escalate and self.escalate_fn is not None
                     and is_escalatable(exc)):
                 self.counters.precision_escalations += 1
-                self._complete(idx, self.escalate_fn(self.items[idx]))
+                self.escalations.append(idx)
                 return
             raise CellFailedError(idx, exc) from exc
         self.counters.cell_retries += 1
@@ -573,7 +602,18 @@ class _Supervisor:
     def _pool_unrecoverable(self) -> bool:
         return self._deaths_since_progress > self.policy.max_pool_failures
 
-    # -- degradation ------------------------------------------------------
+    # -- in-process work ----------------------------------------------------
+    def _step_in_process(self) -> bool:
+        """Run what must solve in this process -- the queued escalations,
+        then degradation once it is due -- and report whether the map is
+        finished."""
+        while self.escalations:
+            idx = self.escalations.popleft()
+            self._complete(idx, self.escalate_fn(self.items[idx]))
+        if self._degrade_due:
+            self._degrade_to_serial()
+        return len(self.results) == len(self.items) or self._degraded
+
     def _degrade_to_serial(self) -> None:
         """Pool is unrecoverable: finish every outstanding cell in-process."""
         self._degraded = True
@@ -598,10 +638,57 @@ class _Supervisor:
         self.pending.clear()
         self.inflight.clear()
 
-    # -- main loop --------------------------------------------------------
+    # -- drivers ------------------------------------------------------------
     def run(self) -> list:
+        """The blocking driver (the sweep path)."""
+        if self._queue():
+            try:
+                self._arm()
+                while not self._step_in_process():
+                    self._assign_ready_work()
+                    handles, timeout = self._wait_args()
+                    if handles or timeout is not None:
+                        wait(handles, timeout)
+                    self._collect()
+            finally:
+                self._shutdown()
+        return self._ordered()
+
+    async def run_async(self) -> list:
+        """The event-loop driver: the same rounds as :meth:`run`, with the
+        wait awaited on the running loop and the in-process step run on
+        its default executor."""
+        # Imported here, where a loop is already running, so the sweep
+        # path and its workers do not load asyncio (about 2.7 MB of RSS
+        # and 0.1 s of start-up).
+        import asyncio
+
+        if self._queue():
+            loop = asyncio.get_running_loop()
+            try:
+                self._arm()
+                while True:
+                    if self.escalations or self._degrade_due:
+                        finished = await loop.run_in_executor(
+                            None, self._step_in_process)
+                    else:
+                        finished = self._step_in_process()
+                    if finished:
+                        break
+                    self._assign_ready_work()
+                    await _wait_on_loop(loop, *self._wait_args())
+                    self._collect()
+            finally:
+                self._shutdown()
+        return self._ordered()
+
+    def _ordered(self) -> list:
+        return [self.results[i] for i in range(len(self.items))]
+
+    def _queue(self) -> bool:
+        """Seed from the checkpoint journal, queue every other cell, and
+        make sure there is a pool; ``False`` when nothing is left to run."""
         n = len(self.items)
-        # Seed from the checkpoint journal before any work is queued.
         if self.journal is not None:
             for idx in range(n):
                 key = self.key_fn(idx)
@@ -612,33 +699,25 @@ class _Supervisor:
             if idx not in self.results:
                 self.pending.append((0.0, idx, 0))
         if not self.pending:
-            return [self.results[i] for i in range(n)]
-
+            return False
         if self.pool is None:
             self.pool = WorkerPool(max(1, min(self.processes, len(self.pending))))
+        return True
+
+    def _arm(self) -> None:
+        """Arm the pool's workers for this map and start missing ones;
+        degradation is due at once if not a single worker runs."""
         # In an opened pool, every worker started now replaces one that
         # died or was killed since the last map.
         replacing = self.pool.opened
-        try:
-            arm = _Arm(self.fn, self.policy.faults,
-                       envelope_from_policy(self.policy),
-                       self.policy.max_bruteforce_n)
-            for _ in range(self.pool.begin_map(arm)):
-                if self._spawn_worker() is not None and replacing:
-                    self.counters.worker_respawns += 1
-            if not self.workers:
-                # Could not start a single worker: degrade immediately.
-                self._degrade_to_serial()
-                return [self.results[i] for i in range(n)]
-            while len(self.results) < n and not self._degraded:
-                self._assign_ready_work()
-                self._drain_results()
-                self._check_deadlines_and_deaths()
-                if self._pool_unrecoverable() or (not self.workers and self.pending):
-                    self._degrade_to_serial()
-        finally:
-            self._shutdown()
-        return [self.results[i] for i in range(n)]
+        arm = _Arm(self.fn, self.policy.faults,
+                   envelope_from_policy(self.policy),
+                   self.policy.max_bruteforce_n)
+        for _ in range(self.pool.begin_map(arm)):
+            if self._spawn_worker() is not None and replacing:
+                self.counters.worker_respawns += 1
+        if not self.workers:
+            self._degrade_due = True
 
     def _assign_ready_work(self) -> None:
         if not self.pending:
@@ -670,7 +749,7 @@ class _Supervisor:
                 task_conn.send((idx, attempt, self.items[idx]))
             except Exception:
                 # Broken pipe to this worker: put the cell back, replace the
-                # worker, and let the next loop iteration reassign.
+                # worker, and let the next round reassign.
                 self.pending.appendleft((ready_at, idx, attempt))
                 self._kill_worker(wid)
                 self._deaths_since_progress += 1
@@ -691,7 +770,7 @@ class _Supervisor:
                 msg = result_conn.recv()
             except (OSError, EOFError):
                 return
-            idx, attempt, ok, value, failure, metrics = msg
+            idx, attempt, ok, value, failure, metrics, seconds = msg
             # Merge the worker's delta unconditionally -- even for late
             # duplicates and failed attempts, the flow solves and iterations
             # it reports were really performed.
@@ -702,6 +781,8 @@ class _Supervisor:
                 continue  # late duplicate (e.g. finished right at its deadline)
             if ok:
                 self._complete(idx, value)
+                if self.timings is not None:
+                    self.timings[idx] = seconds
             else:
                 self._handle_failure(idx, attempt, _decode_failure(failure))
 
@@ -723,9 +804,9 @@ class _Supervisor:
             return None
         return max(0.0, nearest - time.monotonic())
 
-    def _drain_results(self) -> None:
-        """Block until a busy worker sends a result or exits, or until the
-        wake timeout passes; then drain every worker's pipe.
+    def _wait_args(self) -> tuple[list, Optional[float]]:
+        """What a round waits on: the busy workers' result pipes and
+        process sentinels, for at most the wake timeout.
 
         Only busy workers are waited on: an idle worker has nothing to
         send, and a dead idle one would read as end-of-file forever."""
@@ -733,11 +814,16 @@ class _Supervisor:
         for wid in self.inflight:
             proc, _, result_conn = self.workers[wid]
             handles += (result_conn, proc.sentinel)
-        timeout = self._wake_timeout()
-        if handles or timeout is not None:
-            wait(handles, timeout)
+        return handles, self._wake_timeout()
+
+    def _collect(self) -> None:
+        """After a wait: drain every worker's pipe, reap dead and overdue
+        workers, and mark degradation due once the pool is unrecoverable."""
         for wid in list(self.workers):
             self._drain_worker(wid)
+        self._check_deadlines_and_deaths()
+        if self._pool_unrecoverable() or (not self.workers and self.pending):
+            self._degrade_due = True
 
     def _check_deadlines_and_deaths(self) -> None:
         now = time.monotonic()
@@ -774,6 +860,54 @@ class _Supervisor:
                     f"worker killed"))
 
 
+async def _wait_on_loop(loop, handles: list, timeout: Optional[float]) -> None:
+    """Event-loop twin of :func:`multiprocessing.connection.wait`: return
+    once any handle (a connection or a process sentinel) is readable or
+    ``timeout`` seconds have passed.  The handles are loop readers only
+    for the length of the wait."""
+    if not handles and timeout is None:
+        return
+    woke = loop.create_future()
+
+    def wake() -> None:
+        if not woke.done():
+            woke.set_result(None)
+
+    fds = [h if isinstance(h, int) else h.fileno() for h in handles]
+    for fd in fds:
+        loop.add_reader(fd, wake)
+    timer = loop.call_later(timeout, wake) if timeout is not None else None
+    try:
+        await woke
+    finally:
+        if timer is not None:
+            timer.cancel()
+        for fd in fds:
+            loop.remove_reader(fd)
+
+
+def _deadlines_from(budgets, items: list) -> Optional[list]:
+    """Per-cell budgets (seconds from now, ``None`` = unbounded) as
+    absolute ``time.monotonic()`` deadlines."""
+    if budgets is None:
+        return None
+    budgets = list(budgets)
+    if len(budgets) != len(items):
+        raise ValueError(
+            f"budgets length {len(budgets)} != items length {len(items)}")
+    t0 = time.monotonic()
+    return [t0 + b if b is not None else None for b in budgets]
+
+
+def _end_map(counters: Counters, tracer) -> None:
+    """Close a map's metrics session: fold in the work this process did
+    itself (serial cells, degradation, escalation)."""
+    try:
+        absorb_metrics(drain_worker_metrics(), counters=counters, tracer=tracer)
+    finally:
+        end_metrics_session()
+
+
 def supervised_map(
     fn: Callable[[T], R],
     items: Sequence[T],
@@ -787,6 +921,7 @@ def supervised_map(
     budgets: Optional[Sequence[Optional[float]]] = None,
     on_deadline: Optional[Callable[[T], R]] = None,
     pool: Optional[WorkerPool] = None,
+    timings: Optional[dict] = None,
 ) -> list[R]:
     """Fault-tolerant, order-preserving map over ``items``.
 
@@ -817,6 +952,11 @@ def supervised_map(
     count as pool failures: a client-imposed deadline says nothing about
     shard health.
 
+    ``timings``, when given, receives for each cell a worker solved its
+    submission index -> that worker's own wall seconds around the cell
+    function, for the attempt that produced the value.  Cells settled in
+    this process (serial, degraded, escalated, expired) leave no entry.
+
     Work accounting: cells that rebuild engine contexts from a spec (in
     workers *or* in this process -- the serial path, degradation, and
     escalation all run cells here) accumulate onto per-process memoized
@@ -831,14 +971,7 @@ def supervised_map(
     counters = counters if counters is not None else Counters()
     key_fn = key_fn if key_fn is not None else str
     items = list(items)
-    deadlines: Optional[list] = None
-    if budgets is not None:
-        budgets = list(budgets)
-        if len(budgets) != len(items):
-            raise ValueError(
-                f"budgets length {len(budgets)} != items length {len(items)}")
-        t0 = time.monotonic()
-        deadlines = [t0 + b if b is not None else None for b in budgets]
+    deadlines = _deadlines_from(budgets, items)
 
     # Session bracket, not a bare mark-sync: when maps overlap (the serving
     # layer dispatches one per shard concurrently), only the first may
@@ -889,10 +1022,46 @@ def supervised_map(
         sup = _Supervisor(fn, items, processes, policy, counters,
                           escalate_fn, journal, key_fn, tracer=tracer,
                           deadlines=deadlines, on_deadline=on_deadline,
-                          pool=pool)
+                          pool=pool, timings=timings)
         return sup.run()
     finally:
-        try:
-            absorb_metrics(drain_worker_metrics(), counters=counters, tracer=tracer)
-        finally:
-            end_metrics_session()
+        _end_map(counters, tracer)
+
+
+async def supervised_map_async(
+    fn: Callable[[T], R],
+    items: Sequence[T],
+    pool: WorkerPool,
+    policy: Optional[RuntimePolicy] = None,
+    counters: Optional[Counters] = None,
+    escalate_fn: Optional[Callable[[T], R]] = None,
+    tracer=None,
+    budgets: Optional[Sequence[Optional[float]]] = None,
+    on_deadline: Optional[Callable[[T], R]] = None,
+    timings: Optional[dict] = None,
+) -> list[R]:
+    """Awaitable twin of :func:`supervised_map` over a borrowed ``pool``.
+
+    The same state machine, timeouts, retries, deadline budgets,
+    escalation and degradation, with the same results and counters; only
+    the driver differs.  The map waits on the running event loop, with
+    the busy workers' result pipes and sentinels as loop readers, so the
+    loop keeps serving while a cell solves.  Whatever must run in this
+    process -- ``escalate_fn`` and serial degradation -- runs on the
+    loop's default executor, and a retry's backoff is a loop timer, never
+    a sleep.  There is no serial path and no journal: every cell solves in
+    the pool's workers.
+    """
+    policy = policy if policy is not None else RuntimePolicy()
+    counters = counters if counters is not None else Counters()
+    items = list(items)
+    deadlines = _deadlines_from(budgets, items)
+    begin_metrics_session()
+    try:
+        sup = _Supervisor(fn, items, pool.processes, policy, counters,
+                          escalate_fn, None, str, tracer=tracer,
+                          deadlines=deadlines, on_deadline=on_deadline,
+                          pool=pool, timings=timings)
+        return await sup.run_async()
+    finally:
+        _end_map(counters, tracer)

@@ -3,23 +3,26 @@
 One :class:`AllocationServer` owns a local TCP listener, a response cache,
 and one dispatch lane per shard.  The life of a solve request::
 
-    accept --> canonicalize --> cache? --> coalesce? --> shard by sha256(key)
+    accept --> decode + key --> cache? --> coalesce? --> shard by sha256(key)
                                    |           |                |
                                   hit       in-flight    [lane of the shard]
                                    |           |      once its last map lands:
                                    v           v      first cell + what queued
                                 respond <-- future <-- behind it (<= batch_max)
                                                                 |
-                                   supervised_map on the shard's worker pool
-                                        (timeouts/retries/escalation/faults)
+                                   supervised_map_async on the shard's worker
+                                   pool, awaited on the loop (timeouts/retries/
+                                   escalation/faults)
 
 Design points, each load-bearing:
 
-* **Canonicalize at accept.**  The full guard pass and the canonical-form
-  computation happen once per request on the event loop (instances are
-  small); everything downstream -- cache, coalescing, sharding, workers --
-  keys and operates on the canonical representative only, so two
-  relabellings of one economy are indistinguishable past this point.
+* **One intake pass.**  The guard pass (each weight decoded once) and the
+  canonical key happen once per request on the event loop (instances are
+  small); a cache hit then only maps the cached result back, and the
+  canonical graph and payload are built only for a new cell.  Everything
+  downstream -- cache, coalescing, sharding, workers -- keys and operates
+  on the canonical representative only, so two relabellings of one
+  economy are indistinguishable past this point.
 * **Coalesce by canonical key.**  Identical in-flight instances share one
   future and one worker cell.  Disabled together with the cache when
   ``cache_size=0``: coalescing makes solve counts depend on arrival
@@ -28,10 +31,14 @@ Design points, each load-bearing:
 * **One lane per shard, persistent shard workers.**  Admission routes each
   unique instance to its shard's lane by ``sha256(key) % shards``.  A lane
   whose previous map has landed takes its first cell at once, plus
-  whatever queued behind it (up to ``batch_max``), and runs one
-  :func:`repro.runtime.supervised_map` (the full
-  timeout/retry/escalate/fault ladder) on an executor thread; it settles
-  only its own cells.  No window holds a miss to grow a batch: batches
+  whatever queued behind it (up to ``batch_max``), and awaits one
+  :func:`repro.runtime.supervised_map_async` (the full
+  timeout/retry/escalate/fault ladder) on the event loop: the worker's
+  result pipe and sentinel are loop readers, so a miss crosses no thread.
+  Only what solves in this process leaves the loop for the executor: an
+  escalation to the exact backend, serial degradation, the breaker's
+  serial and exact rungs, and ``shards=0``.  A lane settles only its own
+  cells.  No window holds a miss to grow a batch: batches
   form only while the lane is busy, and a miss on an idle shard never
   waits on another shard's solve.  Every shard owns a one-worker
   :class:`~repro.runtime.WorkerPool`, started with the server and stopped
@@ -60,14 +67,16 @@ Design points, each load-bearing:
   shards never race on the shared counters (the process-global drain marks
   are additionally lock-guarded in :mod:`repro.obs.metrics`).  Each
   dispatched cell also leaves its latency split -- queued, handed off
-  between loop and executor, inside the map -- in ``stats()``'s
-  ``cell_phases_ms`` over the last :data:`PHASE_WINDOW` cells.
+  between lane and map, inside the map, solving in the worker, and
+  responding -- in ``stats()``'s ``cell_phases_ms`` over the last
+  :data:`PHASE_WINDOW` cells.
 """
 
 from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import functools
 import hashlib
 import os
 import threading
@@ -79,7 +88,12 @@ from typing import Optional
 from ..engine import Counters, EngineContext, EngineSpec
 from ..exceptions import DurabilityError, ReproError, ShutdownTimeoutError
 from ..obs.tracer import Tracer
-from ..runtime import RuntimePolicy, WorkerPool, supervised_map
+from ..runtime import (
+    RuntimePolicy,
+    WorkerPool,
+    supervised_map,
+    supervised_map_async,
+)
 
 # Imported for its side effect: forked shard workers resolve
 # repro.analysis.parallel._context_for on their first cell, and loading it
@@ -115,8 +129,9 @@ from .resilience import (
     earliest,
 )
 from .solver import (
-    canonical_request,
+    canonical_dict,
     deadline_marker,
+    decode_request,
     map_result,
     solve_cell,
     solve_cell_exact,
@@ -131,8 +146,9 @@ MAX_LINE_BYTES = 8 * 1024 * 1024
 
 #: How many recently dispatched cells ``stats()["cell_phases_ms"]`` covers.
 PHASE_WINDOW = 1024
-#: A dispatched cell's latency phases, in the order they happen.
-_PHASES = ("queue", "handoff", "map")
+#: A dispatched cell's latency phases, in the order they happen; ``solve``
+#: is the worker's own time inside ``map``.
+_PHASES = ("queue", "handoff", "map", "solve", "respond")
 
 
 def _percentile(ordered: list, q: float) -> float:
@@ -231,11 +247,13 @@ class _Cell:
     record fires exactly once per cell when its future resolves.
 
     ``admitted`` is the monotonic admission time, where the cell's
-    ``queue`` phase starts.
+    ``queue`` phase starts.  Once a lane settles the cell, ``phases`` is
+    its row in the server's phase window and ``settled`` the settle time;
+    the first response written for the cell fills in ``respond``.
     """
 
     __slots__ = ("key", "canon_dict", "future", "deadline", "dispatched",
-                 "seq", "admitted")
+                 "seq", "admitted", "phases", "settled")
 
     def __init__(self, key: bytes, canon_dict: dict, future: asyncio.Future,
                  deadline: Optional[Deadline] = None,
@@ -247,14 +265,22 @@ class _Cell:
         self.dispatched = False
         self.seq = seq
         self.admitted = _time.monotonic()
+        self.phases: Optional[list] = None
+        self.settled = 0.0
+
+    def responded(self, now: float) -> None:
+        """The first response for this cell is written at ``now``."""
+        if self.phases is not None and self.phases[-1] is None:
+            self.phases[-1] = now - self.settled
 
 
 class AllocationServer:
     """The serving daemon; create, ``await start()``, ``await wait_closed()``.
 
     All mutable state (cache, coalescing map, counters) is touched only on
-    the event loop thread; executor threads receive immutable cells and
-    return ``(results, error, counters, tracer)`` tuples to merge.
+    the event loop thread; a map run on an executor thread gets the cells'
+    immutable payloads and its own counters and tracer, merged back on the
+    loop.
     """
 
     def __init__(self, config: ServeConfig) -> None:
@@ -537,12 +563,17 @@ class AllocationServer:
     def _phase_stats(self) -> dict:
         """p50/p95 (ms) and count of each latency phase over the window:
         ``queue`` from admission until the lane takes the cell, ``handoff``
-        between the lane and the executor thread both ways, and ``map``
-        the supervised map's wall time, the worker's solve included."""
+        between the lane and the map both ways, ``map`` the supervised
+        map's wall time, ``solve`` the worker's own time around the cell
+        function inside it (so ``map - solve`` is the transport), and
+        ``respond`` from the settle until the first response for the cell
+        is written.  A cell settled in the server process has no
+        ``solve``, and one nobody waited for has no ``respond``."""
         rows = list(self._phases)
         out = {}
         for i, name in enumerate(_PHASES):
-            col = sorted(row[i] * 1000.0 for row in rows)
+            col = sorted(row[i] * 1000.0 for row in rows
+                         if row[i] is not None)
             out[name] = {"p50": _percentile(col, 50),
                          "p95": _percentile(col, 95), "count": len(col)}
         return out
@@ -577,7 +608,10 @@ class AllocationServer:
                     continue
                 resp = await self._handle_line(line)
                 close = resp.pop("_close", False)
+                cell = resp.pop("_cell", None)
                 writer.write(encode_response(resp))
+                if cell is not None:
+                    cell.responded(asyncio.get_running_loop().time())
                 await writer.drain()
                 if close:
                     break
@@ -626,7 +660,7 @@ class AllocationServer:
         loop = asyncio.get_running_loop()
         self.ctx.counters.serve_requests += 1
         try:
-            key, order, canon_dict = canonical_request(req["graph"])
+            key, order, g = decode_request(req["graph"])
         except ReproError as exc:
             self.ctx.counters.serve_errors += 1
             return error_response(req_id, exc)
@@ -666,6 +700,7 @@ class AllocationServer:
                 if self.cache.enabled:
                     self.ctx.counters.serve_cache_misses += 1
                 future = loop.create_future()
+                canon_dict = canonical_dict(g, order)
                 cell = _Cell(key, canon_dict, future, deadline=deadline)
                 if self._journal is not None:
                     # Write-ahead: the admission is on disk before the
@@ -700,7 +735,9 @@ class AllocationServer:
         except Exception as exc:  # supervisor-surfaced permanent failure
             self.ctx.counters.serve_errors += 1
             return error_response(req_id, exc)
-        return self._respond(req_id, result, order)
+        resp = self._respond(req_id, result, order)
+        resp["_cell"] = cell
+        return resp
 
     def _respond(self, req_id, result: dict, order) -> dict:
         if "error" in result:
@@ -796,9 +833,9 @@ class AllocationServer:
             for cell in cells
         ]
         with self.ctx.span("serve/dispatch"):
-            (results, error, counters, tracer,
-             started, ended) = await loop.run_in_executor(
-                None, self._solve_shard, sid, cells, mode, budgets)
+            (results, error, counters, tracer, timings,
+             started, ended) = await self._solve_shard(sid, cells, mode,
+                                                       budgets)
         now = loop.time()
         self.admission.observe_flush(now - t0)
 
@@ -818,7 +855,13 @@ class AllocationServer:
         if self.breakers[sid].on_outcome(not bad, now, probe=probe,
                                          detail=detail):
             self.ctx.counters.breaker_trips += 1
+        settled = loop.time()
+        handoff = (started - t0) + (settled - ended)
         for i, cell in enumerate(cells):
+            cell.phases = [t0 - cell.admitted, handoff, ended - started,
+                           timings.get(i), None]
+            cell.settled = settled
+            self._phases.append(cell.phases)
             self._inflight.pop(cell.key, None)
             # Any resolution -- result, deadline marker, or dispatch error
             # -- is a terminal typed outcome: settle the journaled
@@ -833,9 +876,6 @@ class AllocationServer:
                 if "error" not in result:
                     self.cache.put(cell.key, result)
                 cell.future.set_result(result)
-        handoff = (started - t0) + (loop.time() - ended)
-        self._phases.extend((t0 - cell.admitted, handoff, ended - started)
-                            for cell in cells)
 
     def _fastfail_shard(self, sid: int, cells: list, now: float) -> None:
         """Cache-only brownout: settle every queued cell with a typed
@@ -857,24 +897,31 @@ class AllocationServer:
                 "retry_after_ms": round(retry_after, 3),
             }})
 
-    def _solve_shard(self, sid: int, cells: list, mode: str, budgets: list):
-        """Executor-thread entry: one supervised map over one lane's batch.
+    async def _solve_shard(self, sid: int, cells: list, mode: str,
+                           budgets: list):
+        """One supervised map over one lane's batch.
 
-        ``shards=0`` runs the serial in-process path (``processes=0``);
-        otherwise the map borrows the shard's long-lived worker, so the
+        In normal mode the map borrows the shard's long-lived worker and
+        is awaited on the event loop (:func:`supervised_map_async`): the
         resource envelope / timeout / kill-recovery machinery is live for
-        every cell and a worker death costs one shard's retry, not the
-        server.  Breaker brownouts override the mode: ``serial`` solves in
-        this process (nothing left to kill), ``exact`` additionally skips
-        the failing float attempts and solves straight on the ``Fraction``
+        every cell, a worker death costs one shard's retry, not the
+        server, and only an escalation to the exact backend leaves the
+        loop, for the executor.  Everything else solves in this process,
+        so it runs the blocking map on an executor thread: ``shards=0``
+        (the serial path, ``processes=0``) and the breaker's brownouts --
+        ``serial`` (nothing left to kill) and ``exact``, which skips the
+        failing float attempts and solves straight on the ``Fraction``
         backend.  Per-cell deadline budgets flow into the map; an expired
         cell settles as a ``DeadlineExceededError`` marker via
         :func:`deadline_marker` instead of failing its batch.  Returns
-        ``(results, error, counters, tracer, started, ended)``, the last
-        two the map's monotonic start and end on this thread.
+        ``(results, error, counters, tracer, timings, started, ended)``:
+        ``timings`` maps a cell's batch index to its worker solve seconds,
+        and the last two are the map's monotonic start and end as the lane
+        awaits it (an executor map's thread hop included).
         """
         counters = Counters()
         tracer = Tracer(enabled=True)
+        timings: dict = {}
         pool = self._pools[sid] if self._pools else None
         fn = solve_cell
         escalate = solve_cell_exact
@@ -885,39 +932,48 @@ class AllocationServer:
             fn = solve_cell_exact
             escalate = None
         items = [(self.shard_specs[sid], cell.canon_dict) for cell in cells]
-        if all(b is None for b in budgets):
-            budgets = None
-        results = error = None
+        kwargs = dict(
+            policy=self.policy,
+            counters=counters,
+            escalate_fn=escalate,
+            tracer=tracer,
+            budgets=(None if all(b is None for b in budgets) else budgets),
+            on_deadline=deadline_marker,
+            timings=timings,
+        )
         started = _time.monotonic()
         try:
-            results = supervised_map(
-                fn,
-                items,
-                policy=self.policy,
-                counters=counters,
-                escalate_fn=escalate,
-                tracer=tracer,
-                budgets=budgets,
-                on_deadline=deadline_marker,
-                pool=pool,
-            )
+            if pool is None:
+                results = await asyncio.get_running_loop().run_in_executor(
+                    None, functools.partial(supervised_map, fn, items,
+                                            **kwargs))
+            else:
+                results = await supervised_map_async(fn, items, pool,
+                                                     **kwargs)
+            error = None
         except Exception as exc:
-            error = exc
-        return results, error, counters, tracer, started, _time.monotonic()
+            results, error = None, exc
+        return (results, error, counters, tracer, timings, started,
+                _time.monotonic())
 
 
 # -- embedding: run the server on a background thread ----------------------
 
 
 class ServeHandle:
-    """A running server on a daemon thread; the test/CLI embedding handle."""
+    """A running server on a daemon thread; the test/CLI embedding handle.
+
+    ``exited`` resolves once the server thread has closed its loop.
+    """
 
     def __init__(self, server: AllocationServer, loop: asyncio.AbstractEventLoop,
-                 thread: threading.Thread, port: int) -> None:
+                 thread: threading.Thread, port: int,
+                 exited: concurrent.futures.Future) -> None:
         self.server = server
         self.loop = loop
         self.thread = thread
         self.port = port
+        self.exited = exited
 
     @property
     def ctx(self) -> EngineContext:
@@ -926,25 +982,34 @@ class ServeHandle:
     def stop(self, timeout: float = 30.0) -> None:
         """Graceful shutdown from any thread; idempotent.
 
-        Safe to call after a client-issued ``shutdown`` op already stopped
-        the loop -- the race between "still alive" and "loop closed" is
-        inherent, so a closed loop just means the work is done.  Raises
+        A server that is already stopping -- a client-issued ``shutdown``
+        op, or an earlier ``stop()`` -- stops and closes its loop by
+        itself, and a loop that has stopped never runs another coroutine,
+        so then ``stop()`` only joins the thread.  Otherwise it runs
+        :meth:`AllocationServer.shutdown` on the loop and waits until
+        that returns (re-raising its failure) or the thread exits, which
+        covers an in-band shutdown that finished first.  Raises
         :class:`~repro.exceptions.ShutdownTimeoutError` when the server
         thread fails to exit within ``timeout`` -- a silent non-join left
         callers believing a possibly-wedged server was gone.
         """
-        if self.thread.is_alive():
+        if self.thread.is_alive() and not self.server._stopping:
             try:
-                asyncio.run_coroutine_threadsafe(
-                    self.server.shutdown(), self.loop
-                ).result(timeout)
+                done = asyncio.run_coroutine_threadsafe(
+                    self.server.shutdown(), self.loop)
             except RuntimeError:
-                pass  # loop already closed by an in-band shutdown op
-            except concurrent.futures.TimeoutError:
-                raise ShutdownTimeoutError(
-                    f"repro-serve graceful shutdown did not complete within "
-                    f"{timeout:.1f}s (drain wedged or loop unresponsive)"
-                ) from None
+                done = None  # loop already closed
+            if done is not None:
+                finished, _ = concurrent.futures.wait(
+                    [done, self.exited], timeout,
+                    return_when=concurrent.futures.FIRST_COMPLETED)
+                if not finished:
+                    raise ShutdownTimeoutError(
+                        f"repro-serve graceful shutdown did not complete "
+                        f"within {timeout:.1f}s (drain wedged or loop "
+                        f"unresponsive)")
+                if done in finished:
+                    done.result()
         self.thread.join(timeout)
         if self.thread.is_alive():
             raise ShutdownTimeoutError(
@@ -962,6 +1027,7 @@ def start_in_thread(config: Optional[ServeConfig] = None,
     """
     config = config if config is not None else ServeConfig()
     ready = threading.Event()
+    exited: concurrent.futures.Future = concurrent.futures.Future()
     box: dict = {}
 
     def _run() -> None:
@@ -981,6 +1047,7 @@ def start_in_thread(config: Optional[ServeConfig] = None,
             loop.run_until_complete(server.wait_closed())
         finally:
             loop.close()
+            exited.set_result(None)
 
     thread = threading.Thread(target=_run, name="repro-serve", daemon=True)
     thread.start()
@@ -988,4 +1055,4 @@ def start_in_thread(config: Optional[ServeConfig] = None,
         raise TimeoutError("repro-serve failed to start within timeout")
     if "error" in box:
         raise box["error"]
-    return ServeHandle(box["server"], box["loop"], thread, box["port"])
+    return ServeHandle(box["server"], box["loop"], thread, box["port"], exited)

@@ -38,9 +38,11 @@ from ..io import graph_from_dict, scalar_to_json
 from ..numeric import EXACT
 
 __all__ = [
+    "canonical_dict",
     "canonical_graph",
     "canonical_request",
     "deadline_marker",
+    "decode_request",
     "map_result",
     "single_shot_response",
     "solve_cell",
@@ -72,24 +74,38 @@ def canonical_graph(g: WeightedGraph, order: Sequence[int]) -> WeightedGraph:
     return WeightedGraph(g.n, g.edges, g.weights, validate=False)
 
 
-def canonical_request(graph_dict: dict) -> tuple[bytes, tuple[int, ...], dict]:
-    """Decode + canonicalize one solve payload.
+def decode_request(graph_dict: dict) -> tuple[bytes, tuple[int, ...], WeightedGraph]:
+    """Decode, guard and key one solve payload: ``(key, order, graph)``.
 
-    Returns ``(key, order, canonical_graph_dict)``.  The graph payload goes
-    through the full guard pass here (:func:`repro.io.graph_from_dict`), so
+    The graph payload goes through the full guard pass here
+    (:func:`repro.io.graph_from_dict`, each weight decoded once), so
     everything past this point -- queues, workers, cache -- only ever sees
-    well-formed instances.  The canonical dict re-encodes weights with the
-    exact hex/frac discipline, so the worker's rebuild is bit-identical.
+    well-formed instances.  This is all a cache hit needs besides
+    :func:`map_result`; the canonical payload is built only for a new cell
+    (:func:`canonical_dict`).
     """
     g = graph_from_dict(graph_dict)
     key, order = canonical_form(g)
+    return key, order, g
+
+
+def canonical_dict(g: WeightedGraph, order: Sequence[int]) -> dict:
+    """The wire payload of the canonical representative ``order``
+    witnesses.  Weights keep the exact hex/frac discipline, so the
+    worker's rebuild is bit-identical."""
     cg = canonical_graph(g, order)
-    canon_dict = {
+    return {
         "n": cg.n,
         "edges": [list(e) for e in cg.edges],
         "weights": [scalar_to_json(w) for w in cg.weights],
     }
-    return key, order, canon_dict
+
+
+def canonical_request(graph_dict: dict) -> tuple[bytes, tuple[int, ...], dict]:
+    """:func:`decode_request` plus the canonical payload:
+    ``(key, order, canonical_graph_dict)``."""
+    key, order, g = decode_request(graph_dict)
+    return key, order, canonical_dict(g, order)
 
 
 def _encode_result(g: WeightedGraph, decomp, alloc) -> dict:

@@ -106,8 +106,8 @@ def test_cell_phases_count_every_dispatched_miss():
                 assert resp["status"] == "ok"
             phases = c.rpc({"op": "stats", "id": "s1"})["result"][
                 "cell_phases_ms"]
-    assert [s["count"] for s in idle["cell_phases_ms"].values()] == [0] * 3
-    assert list(phases) == ["queue", "handoff", "map"]
+    assert [s["count"] for s in idle["cell_phases_ms"].values()] == [0] * 5
+    assert list(phases) == ["queue", "handoff", "map", "solve", "respond"]
     for summary in phases.values():
         assert summary["count"] == k
         assert 0.0 <= summary["p50"] <= summary["p95"]

@@ -62,6 +62,34 @@ def test_handle_stop_is_idempotent_after_inband_shutdown():
         handle.stop()
 
 
+def test_stop_returns_promptly_between_loop_stop_and_loop_close():
+    """An in-band shutdown has stopped the loop, but the server thread is
+    held before it closes the loop: ``stop()`` must join the thread, not
+    queue a shutdown on a loop that will never run it."""
+    import time
+
+    release = threading.Event()
+    with serving(shards=0) as handle:
+        close = handle.loop.close
+
+        def held_close():
+            release.wait(10.0)
+            close()
+
+        handle.loop.close = held_close
+        with client_for(handle) as c:
+            c.rpc({"op": "shutdown", "id": 0})
+        deadline = time.monotonic() + 10.0
+        while handle.loop.is_running() and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert not handle.loop.is_running() and handle.thread.is_alive()
+        threading.Timer(0.2, release.set).start()
+        t0 = time.monotonic()
+        handle.stop(timeout=5.0)
+        assert time.monotonic() - t0 < 2.0
+        assert not handle.thread.is_alive()
+
+
 # -- input boundary ---------------------------------------------------------
 
 MALFORMED_LINES = [
