@@ -12,7 +12,11 @@ an ``IndexError``, or -- worst -- a silently computed ``alpha = nan``.
 Every predicate is pure and cheap (no graph is constructed here); the
 constructors in :mod:`repro.graphs` and :mod:`repro.flow` keep their own
 structural checks and this layer handles the representation-level garbage
-those checks were never meant to see.
+those checks were never meant to see.  A graph payload's pass also makes
+the constructor's two structural checks (no self-loop, no duplicate
+edge, both :class:`~repro.exceptions.GraphError`), so
+:func:`repro.io.graph_from_dict` builds from the decoded parts without
+checking anything twice.
 
 A process-wide switch (:func:`set_validation` / :func:`validation_enabled`)
 lets trusted hot paths opt out of the deep scalar re-checks; the default is
@@ -27,7 +31,7 @@ from fractions import Fraction
 from operator import index as _as_index
 from typing import Any, Optional
 
-from ..exceptions import MalformedInputError
+from ..exceptions import GraphError, MalformedInputError
 from ..numeric import Scalar
 
 __all__ = [
@@ -35,7 +39,7 @@ __all__ = [
     "MAX_EDGES",
     "SERVE_OPS",
     "check_scalar",
-    "graph_weights_from_dict",
+    "graph_parts_from_dict",
     "scalar_from_json",
     "validate_graph_dict",
     "validate_network_dict",
@@ -195,23 +199,25 @@ def validate_graph_dict(d: Any) -> dict:
     :data:`MAX_VERTICES`), ``edges`` is a sequence of in-range integer
     pairs, ``weights`` is a sequence of exactly ``n`` valid non-negative
     scalars, and ``labels`` (if present) is ``n`` strings.  Structural
-    graph errors (duplicate edges, self-loops) are left to the constructor,
-    which raises the established :class:`~repro.exceptions.GraphError`
-    taxonomy.
+    graph errors (self-loops, duplicate edges in either orientation) raise
+    the constructor's :class:`~repro.exceptions.GraphError` taxonomy.
     """
     _check_graph_payload(d, decode=_VALIDATION)
     return d
 
 
-def graph_weights_from_dict(d: Any) -> list:
-    """:func:`validate_graph_dict`'s pass that also returns the decoded
-    weights, each decoded once (whatever the validation switch says)."""
+def graph_parts_from_dict(d: Any) -> tuple[int, list, list]:
+    """:func:`validate_graph_dict`'s pass that also returns what the graph
+    is built from: ``(n, edges, weights)``, the edges as checked integer
+    pairs and each weight decoded once (whatever the validation switch
+    says)."""
     return _check_graph_payload(d, decode=True)
 
 
-def _check_graph_payload(d: Any, decode: bool) -> Optional[list]:
-    """The checks of :func:`validate_graph_dict`; the weights are decoded
-    (and returned) only when ``decode`` is set."""
+def _check_graph_payload(d: Any,
+                         decode: bool) -> tuple[int, list, Optional[list]]:
+    """The checks of :func:`validate_graph_dict`, returning ``(n, edges,
+    weights)``; the weights are decoded only when ``decode`` is set."""
     if not isinstance(d, dict):
         raise _reject("graph payload is not an object", type(d).__name__)
     for key in ("n", "edges", "weights"):
@@ -225,11 +231,20 @@ def _check_graph_payload(d: Any, decode: bool) -> Optional[list]:
         raise MalformedInputError(
             f"edge count {len(edges)} exceeds the boundary limit {MAX_EDGES}"
         )
+    pairs = []
+    seen = set()
     for e in edges:
         if not isinstance(e, (list, tuple)) or len(e) != 2:
             raise _reject("graph edge is not a (u, v) pair", e)
-        _check_endpoint(e[0], n, "edge")
-        _check_endpoint(e[1], n, "edge")
+        u = _check_endpoint(e[0], n, "edge")
+        v = _check_endpoint(e[1], n, "edge")
+        if u == v:
+            raise GraphError(f"self-loop at vertex {u} is not allowed")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise GraphError(f"duplicate edge ({u},{v})")
+        seen.add(key)
+        pairs.append((u, v))
     weights = d["weights"]
     if not isinstance(weights, (list, tuple)):
         raise _reject("graph weights is not a list", weights)
@@ -248,7 +263,7 @@ def _check_graph_payload(d: Any, decode: bool) -> Optional[list]:
         for lab in labels:
             if not isinstance(lab, str):
                 raise _reject("graph label is not a string", lab)
-    return decoded
+    return n, pairs, decoded
 
 
 #: Operations the ``repro-serve`` wire protocol accepts.  ``solve`` is the

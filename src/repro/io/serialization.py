@@ -18,9 +18,10 @@ from ..exceptions import MalformedInputError
 from ..flow.network import FlowNetwork
 from ..graphs import WeightedGraph
 from ..guard import (
-    graph_weights_from_dict,
+    graph_parts_from_dict,
     scalar_from_json,
     validate_network_dict,
+    validation_enabled,
 )
 from ..numeric import Scalar
 
@@ -71,18 +72,17 @@ def graph_to_dict(g: WeightedGraph) -> dict:
 def graph_from_dict(d: dict) -> WeightedGraph:
     """Construct a graph from an untrusted ``graph_to_dict`` payload.
 
-    The payload shape and every scalar are validated first, each weight
-    decoded once (:func:`repro.guard.graph_weights_from_dict`); structural
-    problems the shape pass cannot see (duplicate edges, self-loops) still
-    raise the constructor's :class:`~repro.exceptions.GraphError` taxonomy.
+    One guard pass (:func:`repro.guard.graph_parts_from_dict`) checks the
+    payload shape, every scalar (each weight decoded once) and the edge
+    structure (self-loops and duplicate edges raise the constructor's
+    :class:`~repro.exceptions.GraphError`), so the graph is built from its
+    checked parts without the constructor checking them again -- unless
+    validation is switched off, which skips the guard's scalar checks and
+    so leaves them to the constructor.
     """
-    weights = graph_weights_from_dict(d)
-    return WeightedGraph(
-        int(d["n"]),
-        [tuple(e) for e in d["edges"]],
-        weights,
-        d.get("labels"),
-    )
+    n, edges, weights = graph_parts_from_dict(d)
+    return WeightedGraph(n, edges, weights, d.get("labels"),
+                         validate=not validation_enabled())
 
 
 def network_to_dict(net: FlowNetwork) -> dict:

@@ -357,7 +357,9 @@ def compare_reports(
     Baseline benchmarks absent from ``new`` fail the gate unless
     ``allow_missing`` -- a full-suite rerun losing a benchmark is a
     regression, but a deliberate ``--only`` subset (CI's bench-smoke job)
-    legitimately covers less than the committed baseline.
+    legitimately covers less than the committed baseline.  Two reports
+    that share no benchmark always fail: a gate that compared nothing
+    passed nothing.
     """
     for side, rep in (("base", base), ("new", new)):
         if rep.get("format") != BENCH_FORMAT:
@@ -394,7 +396,8 @@ def compare_reports(
             counter_drift.append(name)
     missing = sorted(set(base_b) - set(new_b))
     added = sorted(set(new_b) - set(base_b))
-    ok = (not regressions
+    ok = (bool(rows)
+          and not regressions
           and (allow_missing or not missing)
           and not (fail_on_counters and counter_drift))
     return {
@@ -430,7 +433,8 @@ def format_compare(result: dict) -> str:
         lines.append(f"{name:34s} -- new benchmark (no baseline) --")
     verdict = "OK" if result["ok"] else "FAIL"
     lines.append(
-        f"== {verdict}: {len(result['regressions'])} regression(s) past "
+        f"== {verdict}: {len(result['rows'])} compared, "
+        f"{len(result['regressions'])} regression(s) past "
         f"{result['threshold_pct']:g}%, {len(result['missing'])} missing, "
         f"{len(result['counter_drift'])} with counter drift =="
     )

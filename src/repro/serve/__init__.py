@@ -26,7 +26,7 @@ layer on top of the existing substrate:
 * :mod:`repro.serve.resilience` -- the overload semantics: bounded-intake
   admission control with typed load shedding, per-request deadline
   bookkeeping, and per-shard circuit breakers with a degraded-mode ladder
-  (serial -> exact -> cache-only) and half-open probes;
+  (serial -> cache-only) and half-open probes;
 * :mod:`repro.serve.client` -- the shipped clients: a plain blocking
   JSONL :class:`~repro.serve.client.Client` and the retry-safe
   :class:`~repro.serve.client.ResilientClient` (deadline-aware
@@ -34,11 +34,12 @@ layer on top of the existing substrate:
   honoring, transparent reconnect -- all safe because requests are
   idempotent under the canonical fingerprint);
 * :mod:`repro.serve.load` -- the seeded heavy-tailed load generator and
-  soak harness behind ``repro-serve soak`` (pipelined connections, so
-  bursts genuinely exceed batcher capacity), the chaos-scheduled overload
-  soak behind ``repro-serve overload``, recording shed rate, goodput and
-  p50/p99 latency in the ``repro-bench`` schema (``BENCH_serve.json``,
-  ``BENCH_overload.json``);
+  the one soak driver: a list of legs, each against a server of its own
+  (in-thread with pipelined connections, or a supervised child SIGKILLed
+  under resilient clients), one outcome classifier and one server-side
+  check for all of them, and one ``repro-bench`` report.  ``repro-serve
+  soak``, ``overload`` and ``durable`` are its presets
+  (``BENCH_serve.json``, ``BENCH_overload.json``, ``BENCH_durable.json``);
 * :mod:`repro.serve.durability` -- crash durability: the write-ahead
   request journal (admit before dispatch, settle on outcome, replay the
   unsettled tail on restart, compact against settles) and the bit-exact
@@ -47,16 +48,11 @@ layer on top of the existing substrate:
 * :mod:`repro.serve.supervise` -- the watchdog parent behind
   ``repro-serve supervise``: ping-heartbeat liveness, SIGKILL-and-restart
   of wedged children with capped-exponential backoff, and a typed
-  :class:`~repro.exceptions.CrashLoopError` give-up;
-* :mod:`repro.serve.crash` -- the crash soak behind ``repro-serve
-  durable`` (``BENCH_durable.json``): SIGKILL the supervised daemon
-  mid-traffic and assert exactly-one-typed-outcome tiling with responses
-  bit-identical to a crash-free run.
+  :class:`~repro.exceptions.CrashLoopError` give-up.
 """
 
 from .cache import ResponseCache
 from .client import Client, ResilientClient
-from .crash import DURABLE_BENCH_NAME, DurableConfig, run_durable
 from .durability import (
     DurabilityConfig,
     RequestJournal,
@@ -64,6 +60,7 @@ from .durability import (
     load_snapshot,
     save_snapshot,
 )
+from .load import Leg, LoadConfig, run_legs
 from .protocol import (
     PROTOCOL_VERSION,
     deadline_exceeded_response,
@@ -87,17 +84,17 @@ from .solver import (
     single_shot_response,
     solve_cell,
 )
-from .supervise import SuperviseConfig, Supervisor, serve_child_argv
+from .supervise import SuperviseConfig, Supervisor, serve_argv
 
 __all__ = [
     "AdmissionController",
     "AllocationServer",
     "BreakerConfig",
     "Client",
-    "DURABLE_BENCH_NAME",
     "Deadline",
     "DurabilityConfig",
-    "DurableConfig",
+    "Leg",
+    "LoadConfig",
     "PROTOCOL_VERSION",
     "RequestJournal",
     "ResilientClient",
@@ -118,9 +115,9 @@ __all__ = [
     "map_result",
     "ok_response",
     "overloaded_response",
-    "run_durable",
+    "run_legs",
     "save_snapshot",
-    "serve_child_argv",
+    "serve_argv",
     "single_shot_response",
     "solve_cell",
     "start_in_thread",

@@ -1,6 +1,6 @@
-"""``repro-serve``: run, supervise, load-test, and soak the daemon.
+"""``repro-serve``: run, supervise, and soak the daemon.
 
-Seven subcommands::
+Six subcommands::
 
     repro-serve serve [--port P] [--shards N] [--batch-max K]
                       [--cache-size N] [--timeout S] [--retries N]
@@ -12,15 +12,12 @@ Seven subcommands::
         a graceful drain-and-stop, a second one hard-exits.  ``--port 0``
         binds an ephemeral port and prints it.
 
-    repro-serve load --port P [--requests N] [--clients N] [--seed S] ...
-        Drive the seeded heavy-tailed mix against an already-running
-        server; prints latency percentiles and any response problems.
-
     repro-serve soak [--out BENCH_serve.json] [server + load flags]
-        Start a server, run the full seeded soak (including the sampled
-        differential-audit leg), and write a ``repro-bench/1`` report.
-        Exits non-zero if any response was dropped, corrupted, or differed
-        from its fresh single-shot solve -- the CI gate.
+        One strict leg: start a server, run the full seeded soak
+        (including the sampled differential-audit leg), and write a
+        ``repro-bench/1`` report.  Exits non-zero if any response was
+        dropped, corrupted, or differed from its fresh single-shot solve,
+        or the server's counters do not tile -- the CI gate.
 
     repro-serve overload [--out BENCH_overload.json] [--seed S]
                          [--burst-clients N] [--burst-requests N] ...
@@ -48,35 +45,37 @@ Seven subcommands::
         Exits non-zero unless every request terminated in exactly one
         typed outcome with responses bit-identical to a crash-free run,
         the restarts gauge saw every kill, and the journal drained empty.
+
+The three soaks are leg presets of :func:`repro.serve.load.run_legs`.
 """
 
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
 import signal
 import sys
+import tempfile
 import threading
+from dataclasses import replace
 from typing import Optional
 
 from ..exceptions import CrashLoopError
 from ..obs.bench import save_report
 from ..runtime import RuntimePolicy
 from .client import Client
-from .crash import DURABLE_BENCH_NAME, DurableConfig, run_durable
 from .durability import DurabilityConfig
 from .load import (
+    DURABLE_BENCH_NAME,
     OVERLOAD_BENCH_NAME,
     SOAK_BENCH_NAME,
+    Leg,
     LoadConfig,
-    OverloadConfig,
-    run_load,
-    run_overload,
-    run_soak,
+    build_chaos_spec,
+    run_legs,
 )
 from .server import ServeConfig, start_in_thread
-from .supervise import SuperviseConfig, Supervisor, serve_child_argv
+from .supervise import SuperviseConfig, Supervisor, serve_argv
 
 __all__ = ["main"]
 
@@ -125,18 +124,6 @@ def _add_server_flags(p: argparse.ArgumentParser) -> None:
                    "snapshots (with --durable)")
 
 
-def _add_load_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--requests", type=int, default=250)
-    p.add_argument("--clients", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pool", type=int, default=12)
-    p.add_argument("--zipf-s", type=float, default=1.3)
-    p.add_argument("--malformed-rate", type=float, default=0.02)
-    p.add_argument("--audit-rate", type=float, default=0.1)
-    p.add_argument("--pipeline", type=int, default=1,
-                   help="per-connection in-flight depth (1 = closed loop)")
-
-
 def _serve_config(args: argparse.Namespace) -> ServeConfig:
     policy = RuntimePolicy(timeout=args.timeout, retries=args.retries)
     durability = None
@@ -155,15 +142,6 @@ def _serve_config(args: argparse.Namespace) -> ServeConfig:
     )
 
 
-def _load_config(args: argparse.Namespace) -> LoadConfig:
-    return LoadConfig(
-        requests=args.requests, clients=args.clients, seed=args.seed,
-        pool=args.pool, zipf_s=args.zipf_s,
-        malformed_rate=args.malformed_rate, audit_rate=args.audit_rate,
-        pipeline=args.pipeline,
-    )
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-serve",
@@ -174,15 +152,18 @@ def _build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser("serve", help="run the daemon in the foreground")
     _add_server_flags(serve)
 
-    load = sub.add_parser("load", help="drive load at a running server")
-    load.add_argument("--host", default="127.0.0.1")
-    load.add_argument("--port", type=int, required=True)
-    _add_load_flags(load)
-
     soak = sub.add_parser(
         "soak", help="server + seeded soak + repro-bench report")
     _add_server_flags(soak)
-    _add_load_flags(soak)
+    soak.add_argument("--requests", type=int, default=250)
+    soak.add_argument("--clients", type=int, default=8)
+    soak.add_argument("--seed", type=int, default=0)
+    soak.add_argument("--pool", type=int, default=12)
+    soak.add_argument("--zipf-s", type=float, default=1.3)
+    soak.add_argument("--malformed-rate", type=float, default=0.02)
+    soak.add_argument("--audit-rate", type=float, default=0.1)
+    soak.add_argument("--pipeline", type=int, default=1,
+                      help="per-connection in-flight depth (1 = closed loop)")
     soak.add_argument("--out", default="BENCH_serve.json")
     soak.add_argument("--tag", default="serve")
 
@@ -248,17 +229,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_stats(stats: dict) -> None:
-    lat = stats["latency_ms"]
-    print(f"{stats['responses']}/{stats['requests']} responses "
-          f"({stats['clients']} clients, {stats['audited']} audited), "
-          f"{stats['throughput_rps']:.1f} req/s, "
-          f"p50 {lat['p50']:.2f}ms  p90 {lat['p90']:.2f}ms  "
-          f"p99 {lat['p99']:.2f}ms  max {lat['max']:.2f}ms")
-    for problem in stats["problems"]:
-        print(f"PROBLEM: {problem}", file=sys.stderr)
-
-
 def _run_serve_foreground(args: argparse.Namespace) -> int:
     """The ``serve`` subcommand: foreground daemon with signal handling.
 
@@ -311,29 +281,6 @@ def _run_serve_foreground(args: argparse.Namespace) -> int:
     return 0
 
 
-def _child_flags(args: argparse.Namespace) -> list[str]:
-    """Re-encode parsed server flags as the supervised child's argv."""
-    extra = [
-        "--shards", str(args.shards),
-        "--batch-max", str(args.batch_max),
-        "--cache-size", str(args.cache_size),
-        "--retries", str(args.retries),
-        "--queue-cap", str(args.queue_cap),
-        "--breaker-threshold", str(args.breaker_threshold),
-        "--breaker-cooldown", str(args.breaker_cooldown),
-    ]
-    if args.timeout is not None:
-        extra += ["--timeout", str(args.timeout)]
-    if args.inject_faults is not None:
-        extra += ["--inject-faults", args.inject_faults]
-    if args.deadline_ms is not None:
-        extra += ["--deadline-ms", str(args.deadline_ms)]
-    if args.durable is not None:
-        extra += ["--durable", args.durable, "--fsync", args.fsync,
-                  "--snapshot-interval", str(args.snapshot_interval)]
-    return extra
-
-
 def _run_supervise(args: argparse.Namespace) -> int:
     """The ``supervise`` subcommand: watchdog in the foreground.
 
@@ -348,7 +295,7 @@ def _run_supervise(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     supervisor = Supervisor(
-        serve_child_argv(args.host, args.port, _child_flags(args)),
+        serve_argv(_serve_config(args)),
         args.host, args.port,
         SuperviseConfig(
             heartbeat_s=args.heartbeat,
@@ -386,6 +333,78 @@ def _run_supervise(args: argparse.Namespace) -> int:
     return 0
 
 
+def _soak_legs(args: argparse.Namespace) -> list[Leg]:
+    """``repro-serve soak``: one strict leg, server and mix from flags."""
+    load = LoadConfig(
+        requests=args.requests, clients=args.clients, seed=args.seed,
+        pool=args.pool, zipf_s=args.zipf_s,
+        malformed_rate=args.malformed_rate, audit_rate=args.audit_rate,
+        pipeline=args.pipeline)
+    return [Leg("soak", load, _serve_config(args))]
+
+
+def _overload_legs(args: argparse.Namespace) -> list[Leg]:
+    """``repro-serve overload``: a strict fault-free warm leg, then a
+    non-strict burst under the seeded chaos plan.
+
+    ``retries=2`` matters: the chaos plan injects retryable faults (kills,
+    crashes) on first attempts, and the point is watching the retry and
+    escalation ladder absorb them under load.
+    """
+    serve = ServeConfig(
+        shards=args.shards, batch_max=args.batch_max, cache_size=0,
+        queue_cap=args.queue_cap,
+        policy=RuntimePolicy(retries=2, timeout=60.0))
+    warm = LoadConfig(
+        requests=args.warm_requests, clients=args.warm_clients,
+        seed=args.seed, pool=10, n_min=4, n_max=12, malformed_rate=0.0,
+        audit_rate=0.3)
+    burst = replace(
+        warm, requests=args.burst_requests, clients=args.burst_clients,
+        seed=args.seed + 1, audit_rate=0.0, pipeline=args.pipeline,
+        deadline_ms=args.deadline_ms, deadline_rate=args.deadline_rate)
+    chaos = None if args.no_chaos else build_chaos_spec(args.seed)
+    return [Leg("warm", warm, serve),
+            Leg("burst", burst, replace(serve, faults=chaos), strict=False)]
+
+
+def _durable_legs(args: argparse.Namespace, durability_dir: str) -> list[Leg]:
+    """``repro-serve durable``: one strict crash leg, every request
+    audited, against a durable server journaling into ``durability_dir``."""
+    load = LoadConfig(
+        requests=args.requests, clients=args.clients, seed=args.seed,
+        pool=10, n_min=4, n_max=12, malformed_rate=0.0, audit_rate=1.0)
+    serve = ServeConfig(
+        shards=args.shards, queue_cap=max(4 * args.requests, 256),
+        policy=RuntimePolicy(retries=2),
+        durability=DurabilityConfig(
+            dir=durability_dir, fsync=args.fsync,
+            snapshot_interval_s=args.snapshot_interval))
+    return [Leg("crash", load, serve, kills=args.kills,
+                kill_after=args.kill_after)]
+
+
+def _run_soak(bench_name: str, legs: list[Leg],
+              args: argparse.Namespace) -> int:
+    """Run one preset, write its report to ``--out``, print the summary
+    and every problem; returns 1 on any problem."""
+    report = run_legs(bench_name, legs, args.tag)
+    problems = report.pop("_problems")
+    bench = report["benchmarks"][bench_name]
+    save_report(report, args.out)
+    lat = bench["latency_ms"]
+    print(f"wrote {args.out}: {bench['requests']} requests in "
+          f"{len(legs)} leg(s), last leg outcomes {bench['outcomes']}, "
+          f"shed rate {bench['shed_rate']:.2f}, "
+          f"{bench['throughput_rps']:.1f} req/s, "
+          f"p50 {lat['p50']:.2f}ms  p99 {lat['p99']:.2f}ms, "
+          f"audited {bench['audited']}, kills {len(bench['kills'])}, "
+          f"restarts {bench['restarts']}, problems {len(problems)}")
+    for problem in problems:
+        print(f"PROBLEM: {problem}", file=sys.stderr)
+    return 1 if problems else 0
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
 
@@ -405,72 +424,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0 if resp.get("status") == "ok" else 1
 
     if args.command == "durable":
-        report = run_durable(DurableConfig(
-            requests=args.requests, clients=args.clients, seed=args.seed,
-            kill_after=args.kill_after, kills=args.kills, fsync=args.fsync,
-            snapshot_interval_s=args.snapshot_interval, shards=args.shards,
-        ), tag=args.tag)
-        problems = report.pop("_problems")
-        bench = report["benchmarks"][DURABLE_BENCH_NAME]
-        save_report(report, args.out)
-        lat = bench["latency_ms"]
-        print(f"wrote {args.out}: {bench['requests']} requests through "
-              f"{len(bench['kills'])} SIGKILL(s), outcomes {bench['outcomes']}, "
-              f"restarts {bench['restarts']}, "
-              f"client retries {bench['client_retries']}, "
-              f"p50 {lat['p50']:.2f}ms  p99 {lat['p99']:.2f}ms, "
-              f"problems {len(problems)}")
-        for problem in problems:
-            print(f"PROBLEM: {problem}", file=sys.stderr)
-        return 1 if problems else 0
-
-    if args.command == "load":
-        stats = asyncio.run(run_load(args.host, args.port, _load_config(args)))
-        _print_stats(stats)
-        return 1 if stats["problems"] else 0
-
+        with tempfile.TemporaryDirectory(prefix="repro-durable-") as tmp:
+            return _run_soak(DURABLE_BENCH_NAME, _durable_legs(args, tmp),
+                             args)
     if args.command == "overload":
-        serve_config = ServeConfig(
-            shards=args.shards, batch_max=args.batch_max, cache_size=0,
-            queue_cap=args.queue_cap,
-            policy=RuntimePolicy(retries=2, timeout=60.0))
-        overload_config = OverloadConfig(
-            warm_requests=args.warm_requests, warm_clients=args.warm_clients,
-            burst_requests=args.burst_requests,
-            burst_clients=args.burst_clients, pipeline=args.pipeline,
-            seed=args.seed, deadline_ms=args.deadline_ms,
-            deadline_rate=args.deadline_rate, chaos=not args.no_chaos)
-        report = run_overload(serve_config, overload_config, tag=args.tag)
-        problems = report.pop("_problems")
-        bench = report["benchmarks"][OVERLOAD_BENCH_NAME]
-        save_report(report, args.out)
-        lat = bench["latency_ms"]
-        print(f"wrote {args.out}: {bench['requests']} requests "
-              f"(warm {bench['warm_outcomes']['ok']} ok / "
-              f"burst {bench['outcomes']}), "
-              f"shed rate {bench['shed_rate']:.2f}, "
-              f"goodput {bench['goodput_rps']:.1f} ok/s, "
-              f"p50 {lat['p50']:.2f}ms  p99 {lat['p99']:.2f}ms, "
-              f"problems {len(problems)}")
-        for problem in problems:
-            print(f"PROBLEM: {problem}", file=sys.stderr)
-        return 1 if problems else 0
-
-    # soak
-    report = run_soak(_serve_config(args), _load_config(args), tag=args.tag)
-    problems = report.pop("_problems")
-    bench = report["benchmarks"][SOAK_BENCH_NAME]
-    save_report(report, args.out)
-    lat = bench["latency_ms"]
-    print(f"wrote {args.out}: {bench['requests']} requests, "
-          f"{bench['throughput_rps']:.1f} req/s, "
-          f"p50 {lat['p50']:.2f}ms  p99 {lat['p99']:.2f}ms, "
-          f"cache hits {bench['cache']['hits']} "
-          f"(coalesced {bench['cache']['coalesced']}), "
-          f"audited {bench['audited']}, problems {len(problems)}")
-    for problem in problems:
-        print(f"PROBLEM: {problem}", file=sys.stderr)
-    return 1 if problems else 0
+        return _run_soak(OVERLOAD_BENCH_NAME, _overload_legs(args), args)
+    return _run_soak(SOAK_BENCH_NAME, _soak_legs(args), args)
 
 
 if __name__ == "__main__":

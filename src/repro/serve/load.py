@@ -1,4 +1,5 @@
-"""Seeded load generation and the soak harness behind ``repro-serve soak``.
+"""Seeded load generation and the one soak driver behind ``repro-serve
+soak``, ``overload`` and ``durable``.
 
 The request mix models the traffic a shared allocation service actually
 sees: a **heavy-tailed popularity** distribution over a pool of base
@@ -17,28 +18,46 @@ time is measured over a **fixed request count** (closed-loop clients), so
 ``wall_s`` in the emitted ``repro-bench`` report is a genuine regression
 signal rather than a function of a time budget.
 
-Two soaks share this machinery:
+A soak is a list of :class:`Leg` values that :func:`run_legs` runs in
+order, each against a server of its own:
 
-* :func:`run_soak` -- the sunny-path mix above (``repro-serve soak``,
-  ``BENCH_serve.json``);
-* :func:`run_overload` -- the resilience soak (``repro-serve overload``,
-  ``BENCH_overload.json``): a **warm sub-capacity phase** that must shed
-  nothing and audit bit-identically, then a **burst phase** driving
-  ``clients * pipeline`` truly concurrent requests -- sized well past the
-  intake queue plus a batch, so admission control *must* engage -- under
-  a seeded chaos schedule (worker kills, numeric faults, slow-shard
-  stalls) with per-request deadlines on a fraction of the stream.  The
-  harness asserts the overload contract: the server stays live, the
-  intake queue never exceeds its cap, and every request terminates in
-  exactly one typed outcome (result / overloaded / deadline_exceeded /
-  circuit-open / typed error).
+* an **in-thread leg** (``kills == 0``) starts an
+  :class:`~repro.serve.server.AllocationServer` on a background thread and
+  drives it over asyncio connections, **pipelined** when ``pipeline > 1``:
+  each connection runs a sender and a receiver with up to ``pipeline``
+  requests in flight, matched FIFO (the server answers a connection's
+  lines strictly in order).  A closed loop of N connections never holds
+  more than N cells in the server; pipelining is what lets a burst
+  genuinely exceed the lanes' capacity;
+* a **crash leg** (``kills > 0``) runs the server as a supervised child
+  (:func:`~repro.serve.supervise.serve_argv`), SIGKILLs it each time
+  another ``kill_after`` requests have settled -- mid-flush, since worker
+  dispatches are in flight -- and drives it with
+  :class:`~repro.serve.client.ResilientClient` threads that reconnect and
+  retry through every restart.
 
-Connections are **pipelined** when ``pipeline > 1``: each connection runs
-a sender and a receiver concurrently with up to ``pipeline`` requests in
-flight, matched FIFO (the server answers a connection's lines strictly in
-order).  A closed loop of N connections can never hold more than N cells
-in the server -- pipelining is what lets a burst genuinely exceed batcher
-capacity instead of self-throttling on its own round trips.
+Both transports feed one classifier (:func:`_check`): every solve ends in
+exactly one of the :data:`OUTCOME_KEYS`, every audited ``ok`` must equal
+its single-shot solve bit for bit, and a *strict* leg (the sub-capacity
+contract) counts any shed, deadline or error on a solve as a problem.
+After every in-thread leg one server-side check (:func:`_check_server`)
+asserts that the counters tile the lines sent (``serve_requests ==
+serve_responses + serve_errors + serve_shed + serve_deadline_exceeded``),
+that the intake queue never passed its cap, that every request got its
+response, that a ping answers after the leg, and that a leg with at least
+``2 * (queue_cap + shards * batch_max)`` connections got something shed.
+A crash leg checks the restarted lineage instead: the ``restarts`` gauge
+saw every kill, and after a final drain the request journal is empty.
+
+The ``repro-serve`` presets, one ``repro-bench/1`` report each:
+
+* ``soak`` -- one strict leg (``BENCH_serve.json``);
+* ``overload`` -- a strict, fault-free warm leg, then a non-strict burst
+  past admission capacity under a seeded chaos plan
+  (:func:`build_chaos_spec`), with deadlines on part of the stream
+  (``BENCH_overload.json``);
+* ``durable`` -- one strict crash leg whose every request is audited
+  (``BENCH_durable.json``).
 """
 
 from __future__ import annotations
@@ -46,49 +65,54 @@ from __future__ import annotations
 import asyncio
 import collections
 import json
+import socket
+import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
 
+from ..exceptions import CrashLoopError, ReproError
 from ..graphs.builders import ring, random_ring
 from ..io import graph_to_dict
 from ..obs.bench import BENCH_FORMAT, _fingerprint
-from .protocol import PROTOCOL_VERSION
+from .client import Client, ResilientClient
 from .server import ServeConfig, start_in_thread
 from .solver import single_shot_response
+from .supervise import SuperviseConfig, Supervisor, _ping, serve_argv
 
 __all__ = [
+    "DURABLE_BENCH_NAME",
+    "Leg",
     "LoadConfig",
     "OVERLOAD_BENCH_NAME",
-    "OverloadConfig",
     "SOAK_BENCH_NAME",
     "build_chaos_spec",
-    "build_overload_report",
-    "build_report",
     "build_requests",
-    "run_load",
-    "run_overload",
-    "run_soak",
+    "run_legs",
 ]
 
-#: The single benchmark name the soak emits; CI compares the committed
-#: baseline and a fresh run under this exact key.
+#: The benchmark name of each preset's report; CI compares a committed
+#: baseline and a fresh run under these exact keys.
 SOAK_BENCH_NAME = "serve_soak_mix"
-
-#: Ditto for the overload soak (``BENCH_overload.json``).
 OVERLOAD_BENCH_NAME = "serve_overload_chaos"
+DURABLE_BENCH_NAME = "serve_durable_crash"
 
-#: Counters whose totals are a pure function of the request stream (cache
-#: hit/miss/coalesce splits depend on arrival timing, so they are reported
-#: as extras, never gated on).
+#: Counters a strict leg's seed fixes (cache hit/miss/coalesce splits
+#: depend on arrival timing, so they are reported, never gated on).  A
+#: non-strict leg fixes ``serve_requests`` only, and a crash leg nothing:
+#: where the kills land perturbs every counter.  A report gates the
+#: counters every one of its legs fixes.
 DETERMINISTIC_COUNTERS = ("serve_requests", "serve_responses", "serve_errors")
 
-#: The typed terminal outcomes a solve request may have; the overload
-#: harness requires every request to land in exactly one bucket.
+#: The typed terminal outcomes a solve request may have.
 OUTCOME_KEYS = ("ok", "overloaded", "deadline_exceeded", "circuit_open",
                 "error")
+
+#: The server counters that ``serve_requests`` must tile.
+_TERMINAL_COUNTERS = ("serve_responses", "serve_errors", "serve_shed",
+                      "serve_deadline_exceeded")
 
 
 @dataclass(frozen=True)
@@ -111,6 +135,23 @@ class LoadConfig:
     #: ``deadline_exceeded`` has no bit-exact expected result).
     deadline_ms: Optional[float] = None
     deadline_rate: float = 0.0
+
+
+@dataclass(frozen=True)
+class Leg:
+    """One soak leg: ``load``'s seeded script against a server of its own.
+
+    ``strict`` holds the leg to the sub-capacity contract.  ``kills > 0``
+    makes it a crash leg: ``serve`` runs as a supervised child that is
+    SIGKILLed each time another ``kill_after`` requests have settled.
+    """
+
+    name: str
+    load: LoadConfig
+    serve: ServeConfig
+    strict: bool = True
+    kills: int = 0
+    kill_after: int = 0
 
 
 def _zipf_weights(k: int, s: float) -> np.ndarray:
@@ -185,111 +226,43 @@ def build_requests(cfg: LoadConfig) -> list[dict]:
     return script
 
 
-#: Connection-refused retry schedule for load clients racing a binding
-#: server: capped-exponential delays off a 25 ms base, ~1.6 s worst case.
-_CONNECT_ATTEMPTS = 8
-_CONNECT_BASE_S = 0.025
-_CONNECT_CAP_S = 0.4
+def build_chaos_spec(seed: int) -> str:
+    """One seeded chaos schedule as a runtime fault spec.
 
-
-async def _connect_retry(host: str, port: int):
-    """``asyncio.open_connection`` that tolerates the startup race.
-
-    Soak harnesses start the server and the load fleet near-concurrently
-    (and the crash soak restarts the server *under* the fleet), so the
-    first connect can land before the listener binds.  Refused/unreachable
-    connects retry on a short capped-exponential schedule; anything still
-    failing after the window propagates -- a server that never comes up
-    must fail the harness, not hang it.
+    Drawn from the established ``site:kind@n`` grammar
+    (:mod:`repro.runtime.faults`): a worker kill (hard ``os._exit``), a
+    slow-shard stall (``cell:delay``), a retryable cell crash, and a
+    numeric fault that drives the precision-escalation ladder.  Fault
+    rules fire per supervised dispatch (each shard worker's injector is
+    re-armed per map), so the schedule recurs across the whole burst
+    rather than firing once -- and because the positions come from one
+    seeded generator, two runs of the same seed replay the identical
+    schedule.
     """
-    for attempt in range(_CONNECT_ATTEMPTS):
-        try:
-            return await asyncio.open_connection(host, port)
-        except (ConnectionRefusedError, OSError):
-            if attempt == _CONNECT_ATTEMPTS - 1:
-                raise
-            await asyncio.sleep(
-                min(_CONNECT_BASE_S * (2.0 ** attempt), _CONNECT_CAP_S))
-    raise AssertionError("unreachable")
+    rng = np.random.default_rng(seed + 20_260_809)
+    clauses = [
+        f"worker:kill@{int(rng.integers(0, 3))}",
+        f"cell:delay@{int(rng.integers(0, 4))}:0.08",
+        f"cell:exc@{int(rng.integers(0, 4))}",
+        f"flow:nan@{int(rng.integers(2, 8))}",
+    ]
+    return ";".join(clauses)
 
 
-async def _client(host: str, port: int, entries: list[dict],
-                  latencies: list[float], problems: list[str],
-                  outcomes: collections.Counter, pipeline: int = 1,
-                  strict: bool = True) -> None:
-    """One load connection: closed-loop, or pipelined when ``pipeline > 1``.
-
-    Pipelining runs a sender and a receiver concurrently with at most
-    ``pipeline`` requests in flight, matched FIFO -- valid because the
-    server answers each connection's lines strictly in order.  This is
-    what lets a burst's concurrency exceed the client count (a closed
-    loop of N connections never holds more than N cells server-side).
-    """
-    reader, writer = await _connect_retry(host, port)
-    try:
-        if pipeline <= 1:
-            for entry in entries:
-                t0 = time.perf_counter()
-                writer.write(entry["line"])
-                await writer.drain()
-                raw = await reader.readline()
-                latencies.append(time.perf_counter() - t0)
-                if not raw:
-                    problems.append(f"id={entry['id']}: connection dropped")
-                    return
-                _check(entry, json.loads(raw), problems, outcomes, strict)
-            return
-
-        sem = asyncio.Semaphore(pipeline)
-        inflight: collections.deque = collections.deque()
-        dead = False
-
-        async def sender() -> None:
-            for entry in entries:
-                await sem.acquire()
-                if dead:
-                    return
-                inflight.append((entry, time.perf_counter()))
-                writer.write(entry["line"])
-                await writer.drain()  # blocks under read-gate backpressure
-
-        async def receiver() -> None:
-            nonlocal dead
-            for _ in range(len(entries)):
-                raw = await reader.readline()
-                if not raw:
-                    dead = True
-                    for entry, _t0 in inflight:
-                        problems.append(
-                            f"id={entry['id']}: connection dropped")
-                    # Unblock a sender parked on the semaphore.
-                    for _ in range(pipeline):
-                        sem.release()
-                    return
-                entry, t0 = inflight.popleft()
-                latencies.append(time.perf_counter() - t0)
-                sem.release()
-                _check(entry, json.loads(raw), problems, outcomes, strict)
-
-        await asyncio.gather(sender(), receiver())
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
+# ---------------------------------------------------------------------------
+# classifying what the clients see
+# ---------------------------------------------------------------------------
 
 
 def _check(entry: dict, resp: dict, problems: list[str],
            outcomes: collections.Counter, strict: bool = True) -> None:
     """Classify one response into its typed terminal outcome.
 
-    ``strict`` is the sunny-path contract (any shed / deadline / error on
-    a solve is a problem); the overload harness passes ``strict=False``,
-    where typed overload outcomes are expected *but protocol violations
-    still are problems*: wrong ids, untyped errors, sheds without a
-    ``retry_after_ms`` hint, deadline verdicts on requests that carried no
-    deadline, and audit mismatches.
+    ``strict`` is the sub-capacity contract (any shed / deadline / error
+    on a solve is a problem); a non-strict leg expects typed overload
+    outcomes, *but protocol violations still are problems*: wrong ids,
+    untyped errors, sheds without a ``retry_after_ms`` hint, deadline
+    verdicts on requests that carried no deadline, and audit mismatches.
     """
     rid = entry["id"]
     if entry["kind"] == "malformed":
@@ -340,403 +313,405 @@ def _check(entry: dict, resp: dict, problems: list[str],
         problems.append(f"id={rid}: unexpected error {error!r}")
 
 
-async def run_load(host: str, port: int, cfg: LoadConfig,
-                   script: Optional[list[dict]] = None,
-                   strict: bool = True) -> dict:
-    """Drive one soak against a running server; returns the load stats.
+class _Tally:
+    """What one leg's clients saw; :meth:`record` is safe from any thread."""
 
-    ``script`` defaults to :func:`build_requests(cfg)`; pass it explicitly
-    to amortize the build (and its audit solves) across runs.  ``strict``
-    flows into :func:`_check` -- the overload burst phase relaxes it so
-    typed shed/deadline outcomes classify instead of failing the run.
-    """
-    if script is None:
-        script = build_requests(cfg)
-    clients = max(1, min(cfg.clients, len(script)))
-    shards: list[list[dict]] = [script[i::clients] for i in range(clients)]
-    latencies: list[float] = []
-    problems: list[str] = []
-    outcomes: collections.Counter = collections.Counter()
-    t0 = time.perf_counter()
-    await asyncio.gather(
-        *(_client(host, port, shard, latencies, problems, outcomes,
-                  pipeline=max(1, cfg.pipeline), strict=strict)
-          for shard in shards)
-    )
-    wall = time.perf_counter() - t0
-    lat = np.sort(np.asarray(latencies, dtype=float)) * 1000.0
-    audited = sum(1 for e in script if e["expect"] is not None)
-    solves = sum(1 for e in script if e["kind"] == "solve")
-    # The exactly-one-outcome contract, client-side half: every solve line
-    # sent produced exactly one classified terminal response.
-    classified = sum(outcomes.values())
-    if classified != solves:
-        problems.append(
-            f"outcome accounting broken: {solves} solve requests but "
-            f"{classified} classified outcomes {dict(outcomes)}")
-    return {
-        "requests": len(script),
-        "responses": len(latencies),
-        "clients": clients,
-        "pipeline": max(1, cfg.pipeline),
-        "audited": audited,
-        "problems": problems,
-        "outcomes": {k: outcomes.get(k, 0) for k in OUTCOME_KEYS},
-        "wall_s": wall,
-        "throughput_rps": len(script) / wall if wall > 0 else 0.0,
-        "latency_ms": {
-            "p50": float(np.percentile(lat, 50)) if len(lat) else 0.0,
-            "p90": float(np.percentile(lat, 90)) if len(lat) else 0.0,
-            "p99": float(np.percentile(lat, 99)) if len(lat) else 0.0,
-            "max": float(lat[-1]) if len(lat) else 0.0,
-        },
-    }
+    def __init__(self, strict: bool) -> None:
+        self.strict = strict
+        self.lock = threading.Lock()
+        self.latencies: list[float] = []
+        self.outcomes: collections.Counter = collections.Counter()
+        self.problems: list[str] = []
 
+    def record(self, entry: dict, resp: dict, seconds: float) -> None:
+        with self.lock:
+            self.latencies.append(seconds)
+            _check(entry, resp, self.problems, self.outcomes, self.strict)
 
-def build_report(tag: str, load_stats: dict, server_stats: dict,
-                 cfg: LoadConfig, serve_config: ServeConfig) -> dict:
-    """Soak results -> one ``repro-bench/1`` report (``BENCH_serve.json``).
-
-    The ``counters`` block carries only the stream-deterministic serve
-    counters (:data:`DETERMINISTIC_COUNTERS`), so ``repro-bench compare``
-    sees zero counter drift across timing-different runs; latency,
-    throughput, cache behavior, and the span breakdown ride along as
-    extras.
-    """
-    counters = {k: server_stats.get(k, 0) for k in DETERMINISTIC_COUNTERS}
-    bench = {
-        "group": "serve",
-        "wall_s": load_stats["wall_s"],
-        "counters": counters,
-        "phase_seconds": {},
-        "spans": server_stats.get("spans", {}),
-        "latency_ms": load_stats["latency_ms"],
-        "throughput_rps": load_stats["throughput_rps"],
-        "requests": load_stats["requests"],
-        "clients": load_stats["clients"],
-        "audited": load_stats["audited"],
-        "problems": len(load_stats["problems"]),
-        "cache": {
-            "hits": server_stats.get("serve_cache_hits", 0),
-            "misses": server_stats.get("serve_cache_misses", 0),
-            "coalesced": server_stats.get("serve_coalesced", 0),
-            "batches": server_stats.get("serve_batches", 0),
-        },
-        "serve_config": {
-            "shards": serve_config.shards,
-            "batch_max": serve_config.batch_max,
-            "cache_size": serve_config.cache_size,
-            "faults": serve_config.faults,
-        },
-        "cell_phases_ms": server_stats.get("cell_phases_ms", {}),
-        "load_config": {
-            "requests": cfg.requests, "clients": cfg.clients,
-            "seed": cfg.seed, "pool": cfg.pool, "zipf_s": cfg.zipf_s,
-            "malformed_rate": cfg.malformed_rate,
-            "audit_rate": cfg.audit_rate,
-        },
-    }
-    return {
-        "format": BENCH_FORMAT,
-        "tag": tag,
-        "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "rounds": 1,
-        "fingerprint": _fingerprint(),
-        "benchmarks": {SOAK_BENCH_NAME: bench},
-        "totals": {"wall_s": bench["wall_s"], "counters": dict(counters)},
-    }
-
-
-def run_soak(serve_config: Optional[ServeConfig] = None,
-             load_config: Optional[LoadConfig] = None,
-             tag: str = "serve") -> dict:
-    """Start a server, drive the seeded soak, return the bench report.
-
-    The report's ``benchmarks[...].problems`` count must be zero for a
-    healthy run; the CLI exits non-zero otherwise and prints each problem.
-    The raw problem list rides on the returned dict under ``_problems``
-    (stripped by ``save_report``'s JSON round-trip consumers via the
-    underscore convention -- it is for the caller, not the baseline).
-    """
-    serve_config = serve_config if serve_config is not None else ServeConfig()
-    load_config = load_config if load_config is not None else LoadConfig()
-    script = build_requests(load_config)
-    handle = start_in_thread(serve_config)
-    try:
-        stats = asyncio.run(
-            run_load(serve_config.host, handle.port, load_config, script))
-        server_stats = handle.server.stats()
-    finally:
-        handle.stop()
-    report = build_report(tag, stats, server_stats, load_config, serve_config)
-    report["_problems"] = stats["problems"]
-    return report
+    def settled(self) -> int:
+        with self.lock:
+            return len(self.latencies)
 
 
 # ---------------------------------------------------------------------------
-# the overload / chaos soak (``repro-serve overload``)
+# in-thread legs: asyncio connections against an in-process server
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OverloadConfig:
-    """The resilience soak: a warm sub-capacity leg, then a chaos burst.
+async def _client(host: str, port: int, entries: list[dict], pipeline: int,
+                  tally: _Tally) -> None:
+    """One load connection: closed-loop, or pipelined when ``pipeline > 1``.
 
-    ``burst_clients`` is the real overload knob: server-side concurrency
-    equals the number of connections (each connection has one request in
-    the server at a time), so the burst is sized
-    ``burst_clients >= 2 * (queue_cap + shards * batch_max)`` -- twice
-    what the intake queue plus one in-flight batch per shard lane can
-    absorb -- making admission control engage *arithmetically*, not by
-    timing luck.  ``pipeline`` additionally keeps every connection's next
-    requests already in socket buffers, so the read-gate backpressure
-    path is exercised too.
+    Pipelining runs a sender and a receiver concurrently with at most
+    ``pipeline`` requests in flight, matched FIFO -- valid because the
+    server answers each connection's lines strictly in order.
     """
-
-    warm_requests: int = 32
-    warm_clients: int = 2
-    burst_requests: int = 192
-    burst_clients: int = 64
-    pipeline: int = 4
-    seed: int = 0
-    pool: int = 10          #: distinct base economies
-    n_min: int = 4
-    n_max: int = 12
-    deadline_ms: float = 1500.0
-    deadline_rate: float = 0.25  #: fraction of burst requests with deadlines
-    audit_rate: float = 0.3      #: warm-leg differential-audit fraction
-    chaos: bool = True           #: drive the burst under a seeded fault plan
-
-
-def build_chaos_spec(seed: int) -> str:
-    """One seeded chaos schedule as a runtime fault spec.
-
-    Drawn from the established ``site:kind@n`` grammar
-    (:mod:`repro.runtime.faults`): a worker kill (hard ``os._exit``), a
-    slow-shard stall (``cell:delay``), a retryable cell crash, and a
-    numeric fault that drives the precision-escalation ladder.  Fault
-    rules fire per supervised dispatch (each shard worker's injector is
-    re-armed per map), so the schedule recurs across the whole burst
-    rather than firing once -- and because the positions come from one
-    seeded generator, two runs of the same seed replay the identical
-    schedule.
-    """
-    rng = np.random.default_rng(seed + 20_260_809)
-    clauses = [
-        f"worker:kill@{int(rng.integers(0, 3))}",
-        f"cell:delay@{int(rng.integers(0, 4))}:0.08",
-        f"cell:exc@{int(rng.integers(0, 4))}",
-        f"flow:nan@{int(rng.integers(2, 8))}",
-    ]
-    return ";".join(clauses)
-
-
-def _overload_invariants(server_stats: dict, sent_requests: int,
-                         load_stats: dict, problems: list[str],
-                         leg: str) -> dict:
-    """Check the overload contract against one leg's final server stats.
-
-    Returns the invariant observations for the report; violations append
-    to ``problems``.  The server-side half of exactly-one accounting is
-    checkable from counters alone because every op except ``solve``
-    bypasses these counters entirely.
-    """
-    c = {k: server_stats.get(k, 0) for k in (
-        "serve_requests", "serve_responses", "serve_errors", "serve_shed",
-        "serve_deadline_exceeded")}
-    admission = server_stats.get("admission", {})
-    peak = admission.get("peak_depth", 0)
-    cap = admission.get("queue_cap", 0)
-    terminal = (c["serve_responses"] + c["serve_errors"] + c["serve_shed"]
-                + c["serve_deadline_exceeded"])
-    if c["serve_requests"] != sent_requests:
-        problems.append(
-            f"{leg}: server saw {c['serve_requests']} solve requests, "
-            f"harness sent {sent_requests}")
-    if c["serve_requests"] != terminal:
-        problems.append(
-            f"{leg}: exactly-one-outcome accounting broken: "
-            f"{c['serve_requests']} requests != {terminal} terminal "
-            f"outcomes ({c})")
-    if peak > cap:
-        problems.append(
-            f"{leg}: intake queue exceeded its cap: peak_depth={peak} > "
-            f"queue_cap={cap}")
-    if load_stats["responses"] != load_stats["requests"]:
-        problems.append(
-            f"{leg}: {load_stats['requests']} requests sent but "
-            f"{load_stats['responses']} responses received")
-    return {
-        "counters": c,
-        "terminal_outcomes": terminal,
-        "peak_depth": peak,
-        "queue_cap": cap,
-        "read_pauses": server_stats.get("serve_read_pauses", 0),
-    }
-
-
-def run_overload(serve_config: Optional[ServeConfig] = None,
-                 overload_config: Optional[OverloadConfig] = None,
-                 tag: str = "overload") -> dict:
-    """The chaos-scheduled overload soak; returns the bench report.
-
-    Two legs, each against its own server built from ``serve_config``:
-
-    1. **warm** (fault-free, strict, sub-capacity): every response is a
-       result, zero requests shed, audited responses bit-identical to
-       single-shot solves -- the "overload machinery is invisible below
-       capacity" half of the contract;
-    2. **burst** (chaos fault plan, ``burst_clients`` concurrent
-       connections, deadlines on a fraction of the stream): admission
-       control, deadline propagation, and the breakers under fire -- the
-       harness asserts the server stays live (a fresh connection pings
-       after the burst), the intake queue never exceeds its cap, and
-       every request terminates in exactly one typed outcome.
-
-    Violations ride on the returned report under ``_problems`` (and the
-    ``problems`` count inside the benchmark body, which CI gates on).
-    """
-    from ..runtime import RuntimePolicy
-
-    ocfg = (overload_config if overload_config is not None
-            else OverloadConfig())
-    # retries=2 matters: the chaos schedule injects retryable faults
-    # (kills, crashes) on first attempts, and the whole point is watching
-    # the retry/escalation ladder absorb them under load.
-    base = serve_config if serve_config is not None else ServeConfig(
-        shards=2, batch_max=8, cache_size=0, queue_cap=16,
-        policy=RuntimePolicy(retries=2, timeout=60.0))
-    from dataclasses import replace as _replace
-
-    chaos_spec = build_chaos_spec(ocfg.seed) if ocfg.chaos else base.faults
-    warm_config = _replace(base, faults=None)
-    burst_config = _replace(base, faults=chaos_spec)
-    problems: list[str] = []
-
-    # -- leg 1: warm, sub-capacity, strict ---------------------------------
-    warm_load = LoadConfig(
-        requests=ocfg.warm_requests, clients=ocfg.warm_clients,
-        seed=ocfg.seed, pool=ocfg.pool, n_min=ocfg.n_min, n_max=ocfg.n_max,
-        malformed_rate=0.0, audit_rate=ocfg.audit_rate, pipeline=1)
-    handle = start_in_thread(warm_config)
+    reader, writer = await asyncio.open_connection(host, port)
     try:
-        warm_stats = asyncio.run(run_load(
-            warm_config.host, handle.port, warm_load, strict=True))
-        warm_server_stats = handle.server.stats()
+        if pipeline <= 1:
+            for entry in entries:
+                t0 = time.perf_counter()
+                writer.write(entry["line"])
+                await writer.drain()
+                raw = await reader.readline()
+                if not raw:
+                    tally.problems.append(
+                        f"id={entry['id']}: connection dropped")
+                    return
+                tally.record(entry, json.loads(raw), time.perf_counter() - t0)
+            return
+
+        sem = asyncio.Semaphore(pipeline)
+        inflight: collections.deque = collections.deque()
+        dead = False
+
+        async def sender() -> None:
+            for entry in entries:
+                await sem.acquire()
+                if dead:
+                    return
+                inflight.append((entry, time.perf_counter()))
+                writer.write(entry["line"])
+                await writer.drain()  # blocks under read-gate backpressure
+
+        async def receiver() -> None:
+            nonlocal dead
+            for _ in range(len(entries)):
+                raw = await reader.readline()
+                if not raw:
+                    dead = True
+                    for entry, _t0 in inflight:
+                        tally.problems.append(
+                            f"id={entry['id']}: connection dropped")
+                    # Unblock a sender parked on the semaphore.
+                    for _ in range(pipeline):
+                        sem.release()
+                    return
+                entry, t0 = inflight.popleft()
+                tally.record(entry, json.loads(raw), time.perf_counter() - t0)
+                sem.release()
+
+        await asyncio.gather(sender(), receiver())
     finally:
-        handle.stop()
-    problems.extend(warm_stats["problems"])
-    warm_inv = _overload_invariants(
-        warm_server_stats, ocfg.warm_requests, warm_stats, problems, "warm")
-    if warm_inv["counters"]["serve_shed"] != 0:
-        problems.append(
-            f"warm: sub-capacity leg shed "
-            f"{warm_inv['counters']['serve_shed']} requests")
-
-    # -- leg 2: burst past capacity, under chaos ---------------------------
-    burst_load = LoadConfig(
-        requests=ocfg.burst_requests, clients=ocfg.burst_clients,
-        seed=ocfg.seed + 1, pool=ocfg.pool, n_min=ocfg.n_min,
-        n_max=ocfg.n_max, malformed_rate=0.0, audit_rate=0.0,
-        pipeline=ocfg.pipeline, deadline_ms=ocfg.deadline_ms,
-        deadline_rate=ocfg.deadline_rate)
-    handle = start_in_thread(burst_config)
-    try:
-        burst_stats = asyncio.run(run_load(
-            burst_config.host, handle.port, burst_load, strict=False))
-        # Liveness: a *fresh* connection must still be answered after the
-        # burst -- the whole point of shedding is surviving it.
-        from .client import Client
-
-        probe = Client(handle.port)
+        writer.close()
         try:
-            pong = probe.rpc({"op": "ping", "id": "liveness"})
-            if pong.get("status") != "ok":
-                problems.append(f"burst: post-burst ping failed: {pong!r}")
-        finally:
-            probe.close()
-        burst_server_stats = handle.server.stats()
+            await writer.wait_closed()
+        except (ConnectionResetError, BrokenPipeError):
+            pass
+
+
+async def _drive(leg: Leg, port: int, parts: list[list[dict]],
+                 tally: _Tally) -> None:
+    await asyncio.gather(*(
+        _client(leg.serve.host, port, part, max(1, leg.load.pipeline), tally)
+        for part in parts))
+
+
+def _in_thread_leg(leg: Leg, parts: list[list[dict]], tally: _Tally,
+                   found: list[str]) -> tuple[float, dict, dict]:
+    """Drive ``parts`` (one connection each) against a fresh in-thread
+    server and check it before it stops; returns ``(wall_s, stats, {})``."""
+    handle = start_in_thread(leg.serve)
+    try:
+        t0 = time.perf_counter()
+        asyncio.run(_drive(leg, handle.port, parts, tally))
+        wall = time.perf_counter() - t0
+        stats = handle.server.stats()
+        alive = _ping(leg.serve.host, handle.port, 10.0)
+        _check_server(leg, parts, tally, stats, alive, found)
+        return wall, stats, {}
     finally:
         handle.stop()
-    problems.extend(burst_stats["problems"])
-    burst_inv = _overload_invariants(
-        burst_server_stats, ocfg.burst_requests, burst_stats, problems,
-        "burst")
-    overloadable = 2 * (base.queue_cap
-                        + max(base.shards, 1) * base.batch_max)
-    if ocfg.burst_clients >= overloadable and \
-            burst_stats["outcomes"]["overloaded"] == 0:
-        problems.append(
-            f"burst: {ocfg.burst_clients} concurrent connections against "
-            f"queue_cap={base.queue_cap} shed nothing -- overload never "
-            "engaged")
-
-    report = build_overload_report(
-        tag, warm_stats, warm_inv, burst_stats, burst_inv,
-        burst_server_stats, ocfg, burst_config, problems)
-    report["_problems"] = problems
-    return report
 
 
-def build_overload_report(tag: str, warm_stats: dict, warm_inv: dict,
-                          burst_stats: dict, burst_inv: dict,
-                          burst_server_stats: dict, ocfg: OverloadConfig,
-                          serve_config: ServeConfig,
-                          problems: list[str]) -> dict:
-    """Overload soak results -> one ``repro-bench/1`` report.
+def _check_server(leg: Leg, parts: list[list[dict]], tally: _Tally,
+                  stats: dict, alive: bool, found: list[str]) -> None:
+    """The server-side half of the contract, for a leg whose server lived
+    through it: counter tiling, bounded queue, every response, liveness,
+    and shedding once the connections outnumber what admission absorbs."""
+    sent = sum(len(part) for part in parts)
+    c = {k: stats.get(k, 0) for k in ("serve_requests",) + _TERMINAL_COUNTERS}
+    terminal = sum(c[k] for k in _TERMINAL_COUNTERS)
+    if c["serve_requests"] != sent:
+        found.append(f"server saw {c['serve_requests']} requests, the "
+                     f"clients sent {sent}")
+    if c["serve_requests"] != terminal:
+        found.append(f"exactly-one-outcome accounting broken: "
+                     f"{c['serve_requests']} requests != {terminal} "
+                     f"terminal outcomes ({c})")
+    admission = stats["admission"]
+    if admission["peak_depth"] > admission["queue_cap"]:
+        found.append(f"intake queue exceeded its cap: peak_depth="
+                     f"{admission['peak_depth']} > queue_cap="
+                     f"{admission['queue_cap']}")
+    if tally.settled() != sent:
+        found.append(f"{sent} requests sent but {tally.settled()} "
+                     f"responses received")
+    if not alive:
+        found.append("no answer to a ping after the leg")
+    cfg = leg.serve
+    overloadable = 2 * (cfg.queue_cap + max(cfg.shards, 1) * cfg.batch_max)
+    if len(parts) >= overloadable and tally.outcomes["overloaded"] == 0:
+        found.append(f"{len(parts)} concurrent connections against "
+                     f"queue_cap={cfg.queue_cap} shed nothing -- overload "
+                     f"never engaged")
 
-    Gated counters are the stream-deterministic ``serve_requests`` only
-    (shed / deadline / breaker counts are genuinely timing-dependent --
-    that is the point of the soak); everything else rides as extras:
-    goodput, shed rate, outcome histogram, breaker activity, admission
-    peaks.
+
+# ---------------------------------------------------------------------------
+# crash legs: resilient clients through a supervised child's SIGKILLs
+# ---------------------------------------------------------------------------
+
+#: Per-request retry budget of a crash leg's clients; generous because
+#: requests in flight when a kill lands must survive the restart window.
+_CRASH_ATTEMPTS = 12
+
+
+def _free_port(host: str) -> int:
+    """An ephemeral port for the supervised child to bind.
+
+    The child needs a *fixed* port (clients reconnect to it across
+    restarts), so the usual bind-at-zero trick happens here and the port
+    is released for the child.  The reuse race is real but tiny, and a
+    lost race fails loudly (bind error -> supervisor crash loop).
     """
-    total_requests = warm_stats["requests"] + burst_stats["requests"]
-    counters = {"serve_requests": (
-        warm_inv["counters"]["serve_requests"]
-        + burst_inv["counters"]["serve_requests"])}
-    wall = warm_stats["wall_s"] + burst_stats["wall_s"]
-    burst_ok = burst_stats["outcomes"]["ok"]
+    with socket.socket() as sock:
+        sock.bind((host, 0))
+        return sock.getsockname()[1]
+
+
+def _resilient_client(client: ResilientClient, entries: list[dict],
+                      tally: _Tally) -> None:
+    """One client thread; a raised outcome becomes its typed envelope."""
+    for entry in entries:
+        graph = json.loads(entry["line"])["graph"]
+        t0 = time.perf_counter()
+        try:
+            resp = {"id": entry["id"], "status": "ok",
+                    "result": client.solve(graph, req_id=entry["id"])}
+        except (ReproError, OSError) as exc:
+            resp = {"id": entry["id"], "status": "error", "error": {
+                "type": getattr(exc, "type_name", type(exc).__name__),
+                "message": str(exc),
+                "retry_after_ms": getattr(exc, "retry_after_ms", None)}}
+        tally.record(entry, resp, time.perf_counter() - t0)
+
+
+def _killer(supervisor: Supervisor, leg: Leg, tally: _Tally,
+            done: threading.Event, kill_log: list[dict]) -> None:
+    """SIGKILL the child each time another ``kill_after`` requests settle."""
+    for k in range(leg.kills):
+        target = (k + 1) * leg.kill_after
+        while not done.is_set() and tally.settled() < target:
+            time.sleep(0.005)
+        # The trigger may fire while the previous incarnation is still
+        # dying or being restarted: a no-op "kill" (no live child) or a
+        # re-kill of the same dying pid must not count toward the
+        # restarts-gauge assertion.  Retry until a *fresh* incarnation
+        # took the SIGKILL -- or the run finishes without one.
+        killed = {entry["pid"] for entry in kill_log}
+        while not done.is_set():
+            pid = supervisor.kill_child()
+            if pid is not None and pid not in killed:
+                kill_log.append({"kill": k + 1, "after_responses": target,
+                                 "pid": pid})
+                break
+            time.sleep(0.01)
+        if done.is_set():
+            return
+
+
+def _crash_leg(leg: Leg, parts: list[list[dict]], tally: _Tally,
+               found: list[str]) -> tuple[float, dict, dict]:
+    """Drive ``parts`` (one :class:`ResilientClient` thread each) through
+    a supervised child under the leg's kill schedule, then check the
+    lineage; returns ``(wall_s, stats of the last incarnation after a
+    drain, {kills and client retry totals})``."""
+    host = leg.serve.host
+    serve = replace(leg.serve, port=_free_port(host))
+    if serve.durability is not None:
+        # The child would also refuse, but a bad config must fail here
+        # with the typed error, not as a crash loop.
+        serve.durability.validated()
+    supervisor = Supervisor(serve_argv(serve), host, serve.port,
+                            SuperviseConfig(
+                                heartbeat_s=0.25, heartbeat_misses=8,
+                                ping_timeout_s=2.0, backoff_base_s=0.1,
+                                backoff_cap_s=1.0, max_crash_loops=5,
+                                healthy_after_s=2.0, startup_grace_s=30.0))
+    gave_up: list[BaseException] = []
+
+    def supervise() -> None:
+        try:
+            supervisor.run()
+        except CrashLoopError as exc:
+            gave_up.append(exc)
+
+    sup_thread = threading.Thread(target=supervise, name="soak-supervisor",
+                                  daemon=True)
+    sup_thread.start()
+    clients = [
+        ResilientClient(endpoints=[(host, serve.port)],
+                        max_attempts=_CRASH_ATTEMPTS, backoff_base_ms=25.0,
+                        backoff_cap_ms=500.0, socket_timeout=120.0,
+                        seed=leg.load.seed + 1000 + i)
+        for i in range(len(parts))
+    ]
+    kill_log: list[dict] = []
+    try:
+        if not supervisor.wait_ready(30.0):
+            raise RuntimeError(
+                "supervised repro-serve child never became ready")
+        done = threading.Event()
+        threads = [threading.Thread(target=_resilient_client,
+                                    args=(client, part, tally), daemon=True)
+                   for client, part in zip(clients, parts)]
+        killer = threading.Thread(target=_killer,
+                                  args=(supervisor, leg, tally, done,
+                                        kill_log), daemon=True)
+        t0 = time.perf_counter()
+        killer.start()
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        wall = time.perf_counter() - t0
+        done.set()
+        killer.join()
+        # The final incarnation, drained: every admission must be settled.
+        post = Client(serve.port, host, timeout=60.0)
+        try:
+            post.rpc({"op": "drain"})
+            stats = post.rpc({"op": "stats"})["result"]
+        finally:
+            post.close()
+    finally:
+        for client in clients:
+            client.close()
+        supervisor.stop()
+        sup_thread.join(30.0)
+    if gave_up:
+        found.append(f"supervisor gave up: {gave_up[0]}")
+    if stats["restarts"] < len(kill_log):
+        found.append(f"restarts gauge {stats['restarts']} < kills delivered "
+                     f"{len(kill_log)}: the supervisor lost track of a "
+                     f"restart")
+    depth = stats.get("durability", {}).get("journal_depth", 0)
+    if depth != 0:
+        found.append(f"journal_depth {depth!r} after final drain: admitted "
+                     f"work was left unsettled")
+    return wall, stats, {
+        "kills": kill_log,
+        "client_retries": sum(c.retries for c in clients),
+        "client_reconnects": sum(c.reconnects for c in clients),
+    }
+
+
+# ---------------------------------------------------------------------------
+# the driver and its report
+# ---------------------------------------------------------------------------
+
+
+def _latency_ms(latencies: list[float]) -> dict:
+    lat = np.sort(np.asarray(latencies, dtype=float)) * 1000.0
+    if not len(lat):
+        return {"p50": 0.0, "p90": 0.0, "p99": 0.0, "max": 0.0}
+    return {"p50": float(np.percentile(lat, 50)),
+            "p90": float(np.percentile(lat, 90)),
+            "p99": float(np.percentile(lat, 99)),
+            "max": float(lat[-1])}
+
+
+def _run_leg(leg: Leg, problems: list[str]) -> dict:
+    """Run one leg; its problems join ``problems`` under its name."""
+    script = build_requests(leg.load)
+    clients = max(1, min(leg.load.clients, len(script)))
+    parts = [script[i::clients] for i in range(clients)]
+    tally = _Tally(leg.strict)
+    found: list[str] = []
+    run = _crash_leg if leg.kills else _in_thread_leg
+    wall, stats, extra = run(leg, parts, tally, found)
+    # The client-side half of exactly-one accounting: every solve line
+    # sent produced exactly one classified terminal outcome.
+    outcomes = {k: tally.outcomes.get(k, 0) for k in OUTCOME_KEYS}
+    solves = sum(1 for e in script if e["kind"] == "solve")
+    if sum(outcomes.values()) != solves:
+        found.append(f"outcome accounting broken: {solves} solve requests "
+                     f"but {sum(outcomes.values())} classified outcomes "
+                     f"{outcomes}")
+    found = tally.problems + found
+    problems.extend(f"{leg.name}: {p}" for p in found)
+    gated = (() if leg.kills else DETERMINISTIC_COUNTERS if leg.strict
+             else ("serve_requests",))
+    return {
+        "wall_s": wall,
+        "requests": len(script),
+        "responses": tally.settled(),
+        "clients": clients,
+        "audited": sum(1 for e in script if e["expect"] is not None),
+        "problems": len(found),
+        "latency_ms": _latency_ms(tally.latencies),
+        "throughput_rps": len(script) / wall if wall > 0 else 0.0,
+        "outcomes": outcomes,
+        "shed_rate": outcomes["overloaded"] / len(script) if script else 0.0,
+        "counters": {k: stats.get(k, 0) for k in gated},
+        "server_counters": {k: v for k, v in stats.items()
+                            if k.startswith(("serve_", "breaker_"))
+                            and isinstance(v, int)},
+        "peak_depth": stats.get("admission", {}).get("peak_depth", 0),
+        "restarts": stats.get("restarts", 0),
+        "kills": [],
+        **extra,
+        "cell_phases_ms": stats.get("cell_phases_ms", {}),
+        "spans": stats.get("spans", {}),
+        "strict": leg.strict,
+        "kill_after": leg.kill_after,
+        "serve_config": {
+            "shards": leg.serve.shards,
+            "batch_max": leg.serve.batch_max,
+            "cache_size": leg.serve.cache_size,
+            "queue_cap": leg.serve.queue_cap,
+            "faults": leg.serve.faults,
+            "durable": leg.serve.durability is not None,
+        },
+        "load_config": asdict(leg.load),
+    }
+
+
+def run_legs(bench_name: str, legs: list[Leg], tag: str) -> dict:
+    """Run ``legs`` in order; returns one ``repro-bench/1`` report.
+
+    The benchmark body keeps every leg's detail under ``legs``.  The last
+    leg is the headline: its latency, throughput, outcomes, shed rate,
+    phase split and spans are the top-level ones, while wall time,
+    requests, audits, restarts and kills add up over the legs, and so do
+    the gated ``counters`` that every leg fixes.  ``problems`` counts the
+    contract violations (zero for a healthy run); the list itself rides
+    on the returned dict under ``_problems``, for the caller, not the
+    saved baseline.
+    """
+    problems: list[str] = []
+    details = {leg.name: _run_leg(leg, problems) for leg in legs}
+    runs = list(details.values())
+    last = runs[-1]
+    counters = {key: sum(run["counters"][key] for run in runs)
+                for key in DETERMINISTIC_COUNTERS
+                if all(key in run["counters"] for run in runs)}
+    wall = sum(run["wall_s"] for run in runs)
     bench = {
         "group": "serve",
         "wall_s": wall,
         "counters": counters,
-        "phase_seconds": {"warm": warm_stats["wall_s"],
-                          "burst": burst_stats["wall_s"]},
-        "spans": burst_server_stats.get("spans", {}),
-        "latency_ms": burst_stats["latency_ms"],
-        "warm_latency_ms": warm_stats["latency_ms"],
-        "throughput_rps": burst_stats["throughput_rps"],
-        "goodput_rps": (burst_ok / burst_stats["wall_s"]
-                        if burst_stats["wall_s"] > 0 else 0.0),
-        "shed_rate": (burst_stats["outcomes"]["overloaded"]
-                      / burst_stats["requests"]
-                      if burst_stats["requests"] else 0.0),
-        "outcomes": burst_stats["outcomes"],
-        "warm_outcomes": warm_stats["outcomes"],
-        "requests": total_requests,
+        "phase_seconds": {name: run["wall_s"]
+                          for name, run in details.items()},
+        "requests": sum(run["requests"] for run in runs),
+        "audited": sum(run["audited"] for run in runs),
         "problems": len(problems),
-        "invariants": {"warm": warm_inv, "burst": burst_inv},
-        "breakers": burst_server_stats.get("breakers", {}),
-        "chaos": serve_config.faults,
-        "serve_config": {
-            "shards": serve_config.shards,
-            "batch_max": serve_config.batch_max,
-            "cache_size": serve_config.cache_size,
-            "queue_cap": serve_config.queue_cap,
-            "faults": serve_config.faults,
-        },
-        "overload_config": {
-            "warm_requests": ocfg.warm_requests,
-            "warm_clients": ocfg.warm_clients,
-            "burst_requests": ocfg.burst_requests,
-            "burst_clients": ocfg.burst_clients,
-            "pipeline": ocfg.pipeline,
-            "seed": ocfg.seed,
-            "deadline_ms": ocfg.deadline_ms,
-            "deadline_rate": ocfg.deadline_rate,
-            "chaos": ocfg.chaos,
-        },
+        "restarts": sum(run["restarts"] for run in runs),
+        "kills": [kill for run in runs for kill in run["kills"]],
+        **{key: last[key] for key in (
+            "latency_ms", "throughput_rps", "outcomes", "shed_rate",
+            "cell_phases_ms", "spans")},
+        "legs": details,
     }
     return {
         "format": BENCH_FORMAT,
@@ -744,6 +719,7 @@ def build_overload_report(tag: str, warm_stats: dict, warm_inv: dict,
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "rounds": 1,
         "fingerprint": _fingerprint(),
-        "benchmarks": {OVERLOAD_BENCH_NAME: bench},
+        "benchmarks": {bench_name: bench},
         "totals": {"wall_s": wall, "counters": dict(counters)},
+        "_problems": problems,
     }

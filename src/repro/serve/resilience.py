@@ -22,11 +22,11 @@ front-end production-shaped, each deliberately tiny and event-loop-local
 * **circuit breaking** (:class:`ShardBreaker`) -- per-shard health from
   dispatch outcomes (supervisor-level failures, worker kills, cell
   timeouts, precision escalations).  ``threshold`` consecutive bad
-  dispatches trip the breaker into a *degraded mode ladder* -- first
-  trip: serial-guarded in-process solving (no worker process to kill);
-  second: straight to the exact ``Fraction`` backend (skips the failing
-  float attempts); third and later: cache-only brownout (front-end cache
-  hits still serve, misses fast-fail with a typed ``CircuitOpenError``).
+  dispatches trip the breaker into a two-rung *degraded mode ladder* --
+  first trip: serial-guarded in-process solving (no worker process to
+  kill; ``policy.timeout`` and deadlines are enforced only between
+  attempts); second and later: cache-only brownout (front-end cache hits
+  still serve, misses fast-fail with a typed ``CircuitOpenError``).
   Each open window lasts a capped-exponential cooldown, after which
   exactly one *half-open probe* dispatch runs in normal mode: a clean
   probe closes the breaker, a bad one re-trips it one rung further down
@@ -48,21 +48,19 @@ __all__ = [
     "Deadline",
     "earliest",
     "MODE_CACHE_ONLY",
-    "MODE_EXACT",
     "MODE_NORMAL",
     "MODE_SERIAL",
     "ShardBreaker",
 ]
 
 #: Dispatch modes, healthiest first.  ``normal`` is the supervised worker
-#: pool; the other three are the breaker's degraded ladder in order.
+#: pool; the other two are the breaker's degraded ladder in order.
 MODE_NORMAL = "normal"
 MODE_SERIAL = "serial"
-MODE_EXACT = "exact"
 MODE_CACHE_ONLY = "cache_only"
 
 #: Ladder position by trip count (1-based; deeper trips stay cache-only).
-_LADDER = (MODE_SERIAL, MODE_EXACT, MODE_CACHE_ONLY)
+_LADDER = (MODE_SERIAL, MODE_CACHE_ONLY)
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +280,9 @@ class ShardBreaker:
         """Feed one dispatch outcome; returns True when a trip occurred.
 
         Degraded (non-probe) dispatch outcomes are ignored for state: a
-        serial or exact dispatch succeeding proves nothing about the
-        worker pool's health, and failing in brownout must not deepen the
-        hole before the probe gets its chance.
+        serial dispatch succeeding proves nothing about the worker pool's
+        health, and failing in brownout must not deepen the hole before
+        the probe gets its chance.
         """
         if not ok:
             self.last_failure = detail

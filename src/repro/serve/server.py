@@ -37,7 +37,7 @@ Design points, each load-bearing:
   result pipe and sentinel are loop readers, so a miss crosses no thread.
   Only what solves in this process leaves the loop for the executor: an
   escalation to the exact backend, serial degradation, the breaker's
-  serial and exact rungs, and ``shards=0``.  A lane settles only its own
+  serial rung, and ``shards=0``.  A lane settles only its own
   cells.  No window holds a miss to grow a batch: batches
   form only while the lane is busy, and a miss on an idle shard never
   waits on another shard's solve.  Every shard owns a one-worker
@@ -58,7 +58,7 @@ Design points, each load-bearing:
   request whose budget expires anywhere on that path gets a typed
   ``deadline_exceeded`` envelope.  Per-shard circuit breakers watch
   dispatch outcomes and brown out a sick shard through the serial ->
-  exact -> cache-only ladder with capped-exponential half-open probes.
+  cache-only ladder with capped-exponential half-open probes.
   Every request therefore terminates in exactly one typed envelope:
   result, overloaded, deadline_exceeded, or error.
 * **Metrics merge on the event loop.**  Each shard dispatch gets its own
@@ -119,8 +119,6 @@ from .protocol import (
 )
 from .resilience import (
     MODE_CACHE_ONLY,
-    MODE_EXACT,
-    MODE_NORMAL,
     MODE_SERIAL,
     AdmissionController,
     BreakerConfig,
@@ -288,9 +286,9 @@ class AllocationServer:
         self.spec = config.effective_spec()
         # One tagged spec per shard: cells of shard i always solve on a
         # context memoized under spec i, so concurrent shard dispatches
-        # (including the breaker's serial and exact rungs, which run in
-        # *this* process) each accumulate onto their own metrics-drain
-        # source and stay individually attributable.
+        # (including the breaker's serial rung, which runs in *this*
+        # process) each accumulate onto their own metrics-drain source and
+        # stay individually attributable.
         nshards = max(config.shards, 1)
         self.shard_specs = [
             replace(self.spec, tag=f"serve-shard-{i}") for i in range(nshards)
@@ -598,6 +596,7 @@ class AllocationServer:
                 except (asyncio.LimitOverrunError, ValueError) as exc:
                     # Oversized line: answer with a typed error, then close
                     # (the stream position is unrecoverable past this point).
+                    self.ctx.counters.serve_requests += 1
                     self.ctx.counters.serve_errors += 1
                     writer.write(encode_response(error_response(None, exc)))
                     await writer.drain()
@@ -635,6 +634,9 @@ class AllocationServer:
             try:
                 req = decode_request_line(line)
             except ReproError as exc:
+                # A line that is no valid envelope is a request answered
+                # with an error, so the serve counters still tile.
+                self.ctx.counters.serve_requests += 1
                 self.ctx.counters.serve_errors += 1
                 return error_response(None, exc)
         op = req["op"]
@@ -810,11 +812,11 @@ class AllocationServer:
         """Dispatch one lane's batch on shard ``sid`` and settle its cells.
 
         The shard's circuit breaker picks the dispatch mode: normal (the
-        shard's worker), serial, exact, or -- the deepest brownout --
-        cache-only, where the cells fast-fail with a typed
-        ``CircuitOpenError`` without dispatching at all.  The outcome
-        feeds back into the breaker once the map lands, and every
-        dispatched cell records its latency phases.
+        shard's worker), serial, or -- the deepest brownout -- cache-only,
+        where the cells fast-fail with a typed ``CircuitOpenError``
+        without dispatching at all.  The outcome feeds back into the
+        breaker once the map lands, and every dispatched cell records its
+        latency phases.
         """
         self.ctx.counters.serve_batches += 1
         loop = asyncio.get_running_loop()
@@ -908,12 +910,13 @@ class AllocationServer:
         server, and only an escalation to the exact backend leaves the
         loop, for the executor.  Everything else solves in this process,
         so it runs the blocking map on an executor thread: ``shards=0``
-        (the serial path, ``processes=0``) and the breaker's brownouts --
-        ``serial`` (nothing left to kill) and ``exact``, which skips the
-        failing float attempts and solves straight on the ``Fraction``
-        backend.  Per-cell deadline budgets flow into the map; an expired
-        cell settles as a ``DeadlineExceededError`` marker via
-        :func:`deadline_marker` instead of failing its batch.  Returns
+        (the serial path, ``processes=0``) and the breaker's ``serial``
+        rung (nothing left to kill).  That in-process map enforces
+        ``policy.timeout`` and deadline budgets only between attempts: a
+        cell already solving runs to its end.  Per-cell deadline budgets
+        flow into the map; an expired cell settles as a
+        ``DeadlineExceededError`` marker via :func:`deadline_marker`
+        instead of failing its batch.  Returns
         ``(results, error, counters, tracer, timings, started, ended)``:
         ``timings`` maps a cell's batch index to its worker solve seconds,
         and the last two are the map's monotonic start and end as the lane
@@ -922,20 +925,13 @@ class AllocationServer:
         counters = Counters()
         tracer = Tracer(enabled=True)
         timings: dict = {}
-        pool = self._pools[sid] if self._pools else None
-        fn = solve_cell
-        escalate = solve_cell_exact
-        if mode == MODE_SERIAL:
-            pool = None
-        elif mode == MODE_EXACT:
-            pool = None
-            fn = solve_cell_exact
-            escalate = None
+        pool = (self._pools[sid] if self._pools and mode != MODE_SERIAL
+                else None)
         items = [(self.shard_specs[sid], cell.canon_dict) for cell in cells]
         kwargs = dict(
             policy=self.policy,
             counters=counters,
-            escalate_fn=escalate,
+            escalate_fn=solve_cell_exact,
             tracer=tracer,
             budgets=(None if all(b is None for b in budgets) else budgets),
             on_deadline=deadline_marker,
@@ -945,10 +941,10 @@ class AllocationServer:
         try:
             if pool is None:
                 results = await asyncio.get_running_loop().run_in_executor(
-                    None, functools.partial(supervised_map, fn, items,
-                                            **kwargs))
+                    None, functools.partial(supervised_map, solve_cell,
+                                            items, **kwargs))
             else:
-                results = await supervised_map_async(fn, items, pool,
+                results = await supervised_map_async(solve_cell, items, pool,
                                                      **kwargs)
             error = None
         except Exception as exc:

@@ -196,10 +196,10 @@ def solve_cell_exact(item: tuple[EngineSpec, dict]) -> dict:
     Wired as ``supervised_map``'s ``escalate_fn``, so a request whose float
     solve keeps failing with a typed numeric error is answered exactly
     (``frac`` encodings in the response) instead of failing the client.
-    Also dispatched directly when a shard breaker brownouts to ``exact``
-    mode, which is why it carries the same non-retryable -> error-marker
-    discipline as :func:`solve_cell` (as escalate_fn the distinction is
-    moot: escalation is already the ladder's last rung).
+    Only such cells reach it: a ring whose float solve works is always
+    answered (and cached) in floats.  It keeps :func:`solve_cell`'s
+    non-retryable -> error-marker discipline, so a typed failure of the
+    exact solve costs its own cell an error envelope, not its batch.
     """
     spec, canon_dict = item
     from ..analysis.parallel import _context_for

@@ -44,8 +44,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..exceptions import CrashLoopError, MalformedInputError
+from .server import ServeConfig
 
-__all__ = ["SuperviseConfig", "Supervisor", "serve_child_argv"]
+__all__ = ["SuperviseConfig", "Supervisor", "serve_argv"]
 
 #: Environment variable carrying the restart generation to the child.
 RESTARTS_ENV = "REPRO_SERVE_RESTARTS"
@@ -96,17 +97,34 @@ class SuperviseConfig:
         return self
 
 
-def serve_child_argv(host: str, port: int,
-                     extra: Optional[list[str]] = None) -> list[str]:
-    """The canonical child argv: this interpreter's ``repro-serve serve``.
+def serve_argv(config: ServeConfig) -> list[str]:
+    """This interpreter's ``repro-serve serve`` command line for ``config``.
 
-    ``extra`` carries any further server flags (``--durable``, shard and
-    cache sizing, ...) verbatim.
+    Every server setting the CLI has a flag for is encoded, so the child
+    runs the server ``config`` describes; the rest (engine spec, read-gate
+    watermarks, breaker cooldown cap) keep their defaults.
     """
+    policy = config.effective_policy()
     argv = [sys.executable, "-m", "repro.serve.cli", "serve",
-            "--host", host, "--port", str(port)]
-    if extra:
-        argv.extend(extra)
+            "--host", config.host, "--port", str(config.port),
+            "--shards", str(config.shards),
+            "--batch-max", str(config.batch_max),
+            "--cache-size", str(config.cache_size),
+            "--retries", str(policy.retries),
+            "--queue-cap", str(config.queue_cap),
+            "--breaker-threshold", str(config.breaker_threshold),
+            "--breaker-cooldown", str(config.breaker_cooldown_s)]
+    if policy.timeout is not None:
+        argv += ["--timeout", str(policy.timeout)]
+    if config.faults is not None:
+        argv += ["--inject-faults", config.faults]
+    if config.default_deadline_ms is not None:
+        argv += ["--deadline-ms", str(config.default_deadline_ms)]
+    if config.durability is not None:
+        argv += ["--durable", str(config.durability.dir),
+                 "--fsync", config.durability.fsync,
+                 "--snapshot-interval",
+                 str(config.durability.snapshot_interval_s)]
     return argv
 
 

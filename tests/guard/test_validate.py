@@ -160,7 +160,7 @@ def test_malformed_graph_payloads_rejected_typed(bad):
 
 
 def test_structural_damage_still_caught_by_constructor():
-    # Shape-valid but structurally wrong: delegated to GraphError.
+    # Shape-valid but structurally wrong: the constructor's GraphError.
     dup = ring_payload([1, 1, 1])
     dup["edges"].append([0, 1])
     with pytest.raises(GraphError):
@@ -169,6 +169,43 @@ def test_structural_damage_still_caught_by_constructor():
     loop["edges"][0] = [2, 2]
     with pytest.raises(GraphError):
         graph_from_dict(loop)
+
+
+def test_graph_payload_is_checked_once_by_the_guard():
+    """The guard pass makes the constructor's structural checks too, so
+    graph_from_dict builds without re-checking: structural damage still
+    raises GraphError (from the guard alone, before any construction),
+    bad weights raise typed errors, and a clean payload builds exactly
+    the graph the checking constructor builds."""
+    from repro.graphs import WeightedGraph
+
+    dup = ring_payload([1, 1, 1])
+    dup["edges"].append([1, 0])  # the reverse orientation is a duplicate
+    loop = ring_payload([1, 1, 1])
+    loop["edges"][0] = [2, 2]
+    for bad in (dup, loop):
+        with pytest.raises(GraphError):
+            validate_graph_dict(bad)
+        with pytest.raises(GraphError):
+            graph_from_dict(bad)
+    for weight in (-1, -0.5, {"frac": "-1/2"}, {"float": (-0.5).hex()},
+                   float("nan"), {"float": float("nan").hex()}):
+        with pytest.raises(MalformedInputError):
+            graph_from_dict(ring_payload([1, weight, 1]))
+    g = graph_from_dict(ring_payload([3, 0.5, Fraction(1, 3), 2]))
+    want = WeightedGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)],
+                         [3, 0.5, Fraction(1, 3), 2])
+    assert g.edges == want.edges and g.weights == want.weights
+    assert [g.neighbors(v) for v in g.vertices()] == [
+        want.neighbors(v) for v in want.vertices()]
+    # With validation switched off the guard skips its scalar checks, so
+    # the constructor keeps its own.
+    prev = set_validation(False)
+    try:
+        with pytest.raises(GraphError):
+            graph_from_dict(ring_payload([1, float("nan"), 1]))
+    finally:
+        set_validation(prev)
 
 
 def test_inf_weight_witness_rejected_at_boundary():

@@ -110,6 +110,26 @@ def test_compare_flags_missing_benchmark(report):
     assert result["added"] == ["maxflow_dinic_n40"]
 
 
+def test_compare_with_no_shared_benchmark_fails(report):
+    """A renamed benchmark leaves nothing to compare: the gate must fail
+    even with ``allow_missing``, where it used to pass on zero rows."""
+    renamed = copy.deepcopy(report)
+    renamed["benchmarks"] = {
+        f"{name}_renamed": body
+        for name, body in renamed["benchmarks"].items()}
+    for allow_missing in (False, True):
+        result = compare_reports(report, renamed, fail_on_counters=True,
+                                 allow_missing=allow_missing)
+        assert result["rows"] == []
+        assert not result["ok"]
+        assert "== FAIL: 0 compared" in format_compare(result)
+    # One shared benchmark is enough to be a real comparison.
+    renamed["benchmarks"]["decompose_float_n8"] = copy.deepcopy(
+        report["benchmarks"]["decompose_float_n8"])
+    result = compare_reports(report, renamed, allow_missing=True)
+    assert result["ok"] and len(result["rows"]) == 1
+
+
 def test_compare_counter_drift_reported_not_fatal_by_default(report):
     drifted = copy.deepcopy(report)
     drifted["benchmarks"]["decompose_float_n8"]["counters"]["flow_calls"] += 1

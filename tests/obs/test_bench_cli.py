@@ -63,6 +63,20 @@ def test_compare_subset_needs_allow_missing(tmp_path, capsys):
                  "--allow-missing"]) == 0
 
 
+def test_compare_sharing_no_benchmark_exits_1(tmp_path, capsys):
+    base = tmp_path / "base.json"
+    main(["run", "--only", "maxflow_dinic", "--rounds", "1", "--out", str(base)])
+    renamed_report = json.loads(base.read_text())
+    renamed_report["benchmarks"] = {
+        "renamed": renamed_report["benchmarks"]["maxflow_dinic_n40"]}
+    renamed = tmp_path / "renamed.json"
+    renamed.write_text(json.dumps(renamed_report))
+    capsys.readouterr()
+    assert main(["compare", str(base), str(renamed), "--threshold", "300",
+                 "--allow-missing", "--fail-on-counters"]) == 1
+    assert "0 compared" in capsys.readouterr().out
+
+
 def test_compare_unreadable_file_exits_2(tmp_path, capsys):
     good = tmp_path / "g.json"
     main(["run", "--only", "maxflow_dinic", "--rounds", "1", "--out", str(good)])

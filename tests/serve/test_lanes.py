@@ -17,7 +17,7 @@ import numpy as np
 from repro.graphs.builders import random_ring
 from repro.io import graph_to_dict
 from repro.serve import ServeConfig
-from repro.serve.load import SOAK_BENCH_NAME, LoadConfig, run_soak
+from repro.serve.load import SOAK_BENCH_NAME, Leg, LoadConfig, run_legs
 from repro.serve.server import shard_of
 from repro.serve.solver import canonical_request
 
@@ -114,9 +114,10 @@ def test_cell_phases_count_every_dispatched_miss():
 
 
 def test_soak_report_carries_the_phase_split():
-    report = run_soak(ServeConfig(shards=1),
-                      LoadConfig(requests=20, clients=2, seed=1,
-                                 malformed_rate=0.0, audit_rate=0.0))
+    load = LoadConfig(requests=20, clients=2, seed=1, malformed_rate=0.0,
+                      audit_rate=0.0)
+    report = run_legs(SOAK_BENCH_NAME,
+                      [Leg("soak", load, ServeConfig(shards=1))], "lanes")
     assert report["_problems"] == []
     phases = report["benchmarks"][SOAK_BENCH_NAME]["cell_phases_ms"]
     assert phases["map"]["count"] >= 1

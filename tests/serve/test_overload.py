@@ -11,6 +11,7 @@ soak asserts at scale.
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 
@@ -21,14 +22,13 @@ from repro.graphs import ring
 from repro.graphs.builders import random_ring
 from repro.io import graph_to_dict
 from repro.runtime import RuntimePolicy
-from repro.serve import ServeConfig, start_in_thread
+from repro.serve import ServeConfig, single_shot_response, start_in_thread
+from repro.serve.cli import main
 from repro.serve.load import (
     OVERLOAD_BENCH_NAME,
     LoadConfig,
-    OverloadConfig,
     build_chaos_spec,
     build_requests,
-    run_overload,
 )
 
 from .client import Client, client_for, serving
@@ -177,8 +177,8 @@ def test_generous_deadline_result_identical_to_undeadlined():
 
 
 def test_breaker_walks_ladder_to_cache_only_fastfail():
-    """A persistently sick shard (worker killed every flush) trips, walks
-    serial -> exact via failed probes, and lands in cache-only brownout
+    """A persistently sick shard (worker killed every flush) trips onto
+    the serial rung, and a failed probe lands it in cache-only brownout
     where a miss fast-fails with a typed CircuitOpenError."""
     graphs = _graphs(16, seed=3)
     cfg = ServeConfig(shards=1, batch_max=4, cache_size=0,
@@ -212,23 +212,65 @@ def test_breaker_walks_ladder_to_cache_only_fastfail():
                 t.start()
             for t in pair:
                 t.join(timeout=60)
-            if handle.server.ctx.counters.breaker_trips < 3:
+            if handle.server.ctx.counters.breaker_trips < 2:
                 # Outlast the cooldown so the next round opens with the
                 # half-open probe (which the kill fails again, walking the
-                # ladder serial -> exact -> cache-only) ...
+                # ladder serial -> cache-only) ...
                 time.sleep(0.45)
             # ... and once cache-only is reached, dispatch immediately --
             # inside the open window -- to observe the fast-fail path.
         stats = handle.server.stats()
-        assert stats["breaker_trips"] >= 3
+        assert stats["breaker_trips"] >= 2
         assert stats["breaker_probes"] >= 1
         assert stats["breaker_fastfails"] >= 1
         assert "CircuitOpenError" in types
-        # Degraded rungs still answered: serial/exact dispatches solve.
+        # Normal and serial dispatches still answered.
         assert "ok" in types
         _terminal_tiling(stats)
     finally:
         handle.stop()
+
+
+def test_tripped_breaker_serves_only_single_shot_answers():
+    """Once a cache-enabled shard's breaker has tripped twice, a miss
+    fast-fails with a typed CircuitOpenError, and every ok -- misses and
+    later cache hits alike -- equals the single-shot solve bit for bit.
+    (Solving misses on the exact backend would answer float-solvable
+    rings in ``frac`` encodings, and the cache would keep serving them.)"""
+    graphs = _graphs(6, seed=5)
+    oks, fastfails = [], []
+
+    def solve(c, i):
+        resp = _solve(c, i, graphs[i])
+        if resp["status"] == "ok":
+            oks.append((i, resp["result"]))
+        else:
+            assert resp["error"]["type"] == "CircuitOpenError", resp
+            assert resp["error"]["retry_after_ms"] > 0
+            fastfails.append(i)
+
+    with serving(shards=1, batch_max=4, cache_size=1024,
+                 faults="worker:kill@0", breaker_threshold=1,
+                 breaker_cooldown_s=0.5, breaker_cooldown_cap_s=5.0,
+                 policy=RuntimePolicy(retries=2, timeout=60.0)) as handle:
+        with client_for(handle) as c:
+            solve(c, 0)        # killed, retried, answered: first trip
+            time.sleep(0.6)    # past the 0.5 s window: the next miss probes
+            solve(c, 1)        # the probe is killed too: second trip
+            for i in (2, 3, 4, 5):
+                solve(c, i)    # misses inside the 1 s window
+            for i in (0, 1):
+                solve(c, i)    # cache hits
+            time.sleep(1.1)
+            for i in (2, 2):   # the next probe answers it, then a hit
+                solve(c, i)
+        stats = handle.server.stats()
+    for i, result in oks:
+        assert result == single_shot_response(graphs[i]), i
+    assert stats["breaker_trips"] >= 2
+    assert fastfails and set(fastfails) <= {2, 3, 4, 5}
+    assert [i for i, _ in oks][:4] == [0, 1, 0, 1]
+    _terminal_tiling(stats)
 
 
 def test_healthy_traffic_never_trips_breaker():
@@ -252,22 +294,30 @@ def test_chaos_spec_is_seed_deterministic():
         assert site in ("worker", "cell", "flow", "exp")
 
 
-def test_overload_soak_smoke():
-    """The full two-leg soak at small scale: zero contract violations,
-    overload genuinely engaged, report in the repro-bench shape."""
-    ocfg = OverloadConfig(warm_requests=12, warm_clients=2,
-                          burst_requests=96, burst_clients=48,
-                          pipeline=2, seed=0)
-    report = run_overload(None, ocfg, tag="test")
-    assert report["_problems"] == []
+def test_overload_soak_smoke(tmp_path, capsys):
+    """The ``repro-serve overload`` preset at small scale: zero contract
+    violations, overload genuinely engaged, report in the repro-bench
+    shape."""
+    out = tmp_path / "overload.json"
+    rc = main(["overload", "--seed", "0", "--warm-requests", "12",
+               "--warm-clients", "2", "--burst-requests", "96",
+               "--burst-clients", "48", "--pipeline", "2",
+               "--out", str(out), "--tag", "test"])
+    assert rc == 0, capsys.readouterr().err
+    report = json.loads(out.read_text())
     bench = report["benchmarks"][OVERLOAD_BENCH_NAME]
-    assert bench["warm_outcomes"]["ok"] == 12
-    assert bench["warm_outcomes"]["overloaded"] == 0
+    assert bench["problems"] == 0
+    warm, burst = bench["legs"]["warm"], bench["legs"]["burst"]
+    assert warm["outcomes"]["ok"] == 12
+    assert warm["outcomes"]["overloaded"] == 0
+    assert bench["outcomes"] == burst["outcomes"]
     assert bench["outcomes"]["overloaded"] > 0
     assert sum(bench["outcomes"].values()) == 96
-    inv = bench["invariants"]["burst"]
-    assert inv["peak_depth"] <= inv["queue_cap"]
-    assert inv["counters"]["serve_requests"] == inv["terminal_outcomes"]
+    assert burst["peak_depth"] <= burst["serve_config"]["queue_cap"]
+    server = burst["server_counters"]
+    assert server["serve_requests"] == 96 == (
+        server["serve_responses"] + server["serve_errors"]
+        + server["serve_shed"] + server["serve_deadline_exceeded"])
     assert report["format"] == "repro-bench/1"
     assert report["totals"]["counters"]["serve_requests"] == 12 + 96
 

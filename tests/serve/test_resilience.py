@@ -11,7 +11,6 @@ import pytest
 
 from repro.serve.resilience import (
     MODE_CACHE_ONLY,
-    MODE_EXACT,
     MODE_NORMAL,
     MODE_SERIAL,
     AdmissionController,
@@ -180,8 +179,6 @@ class TestShardBreaker:
         b.on_outcome(False, 0.0)
         assert b.degraded_mode() == MODE_SERIAL
         b.on_outcome(False, b.open_until, probe=True)  # probe fails: deeper
-        assert b.degraded_mode() == MODE_EXACT
-        b.on_outcome(False, b.open_until, probe=True)
         assert b.degraded_mode() == MODE_CACHE_ONLY
         b.on_outcome(False, b.open_until, probe=True)  # stays on last rung
         assert b.degraded_mode() == MODE_CACHE_ONLY

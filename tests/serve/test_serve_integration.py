@@ -139,6 +139,34 @@ def test_oversized_line_is_rejected_not_fatal():
             assert c2.rpc({"op": "ping", "id": 1})["status"] == "ok"
 
 
+def test_counters_tile_for_every_line():
+    """``serve_requests == serve_responses + serve_errors + serve_shed +
+    serve_deadline_exceeded`` whatever the lines are: a good solve, an
+    unknown op, a non-JSON line, a bad-weight solve and an oversized line
+    each count once as a request and once as its outcome."""
+    bad_weight = {"op": "solve", "id": 4,
+                  "graph": {"n": 2, "edges": [[0, 1]],
+                            "weights": [{"float": "bogus"}, 1]}}
+    with serving(shards=0) as handle:
+        with client_for(handle) as c:
+            assert _solve(c, 1, ring([1.0, 2.0, 3.0]))["status"] == "ok"
+            for line in (b'{"op": "frobnicate", "id": 2}\n', b"not json\n",
+                         json.dumps(bad_weight).encode("utf-8") + b"\n"):
+                assert c.send_raw(line)["status"] == "error"
+        with client_for(handle) as c:
+            c.sock.sendall(b"x" * (9 * 1024 * 1024))
+            c.sock.sendall(b"\n")
+            assert json.loads(c.file.readline())["status"] == "error"
+        with client_for(handle) as c:
+            stats = c.rpc({"op": "stats", "id": 5})["result"]
+    assert stats["serve_requests"] == 5
+    assert stats["serve_responses"] == 1
+    assert stats["serve_errors"] == 4
+    assert stats["serve_requests"] == (
+        stats["serve_responses"] + stats["serve_errors"]
+        + stats["serve_shed"] + stats["serve_deadline_exceeded"])
+
+
 # -- concurrent batches and metrics ----------------------------------------
 
 def test_concurrent_batches_do_not_double_count():

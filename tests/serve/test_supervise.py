@@ -18,11 +18,14 @@ from pathlib import Path
 import pytest
 
 from repro.exceptions import CrashLoopError, MalformedInputError
+from repro.runtime import RuntimePolicy
+from repro.serve import DurabilityConfig, ServeConfig
+from repro.serve.cli import _build_parser, _serve_config
 from repro.serve.supervise import (
     RESTARTS_ENV,
     SuperviseConfig,
     Supervisor,
-    serve_child_argv,
+    serve_argv,
 )
 
 from .client import Client
@@ -57,7 +60,7 @@ def test_supervise_config_rejects_malformed(kwargs):
 def test_sigkill_restarts_child_and_restarts_gauge_advances():
     port = _free_port()
     sup = Supervisor(
-        serve_child_argv("127.0.0.1", port, ["--shards", "1"]),
+        serve_argv(ServeConfig(port=port, shards=1)),
         "127.0.0.1", port,
         SuperviseConfig(heartbeat_s=0.1, backoff_base_s=0.05,
                         backoff_cap_s=0.2, healthy_after_s=0.2,
@@ -135,9 +138,17 @@ def test_hung_child_is_killed_not_waited_on_forever():
     assert sup.child_pid is None
 
 
-def test_serve_child_argv_shape():
-    argv = serve_child_argv("127.0.0.1", 4242, ["--durable", "/tmp/x"])
-    assert argv[0] == sys.executable
-    assert "repro.serve.cli" in argv
-    assert argv[-2:] == ["--durable", "/tmp/x"]
+def test_serve_argv_shape(tmp_path):
+    """The child command line runs the server its config describes: the
+    CLI parses it back into an equal ServeConfig."""
+    cfg = ServeConfig(
+        port=4242, shards=1, batch_max=4, cache_size=0, queue_cap=32,
+        faults="worker:kill@0", default_deadline_ms=500.0,
+        breaker_threshold=2, breaker_cooldown_s=0.5,
+        policy=RuntimePolicy(retries=2, timeout=60.0),
+        durability=DurabilityConfig(dir=str(tmp_path), fsync="batch",
+                                    snapshot_interval_s=2.0))
+    argv = serve_argv(cfg)
+    assert argv[:4] == [sys.executable, "-m", "repro.serve.cli", "serve"]
+    assert _serve_config(_build_parser().parse_args(argv[3:])) == cfg
     assert RESTARTS_ENV == "REPRO_SERVE_RESTARTS"
