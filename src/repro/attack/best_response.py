@@ -92,7 +92,7 @@ def best_split(
     if grid < 2:
         raise AttackError("grid must have at least 2 points")
     ctx = resolve_context(ctx)
-    with ctx.counters.timed("best_response"), ctx.span("best_response"):
+    with ctx.span("best_response"):
         result = _best_split_search(g, v, grid, refine_iters, backend, ctx)
     ctx.audit_best_response(g, v, result)
     return result

@@ -7,8 +7,9 @@ Usage::
     repro-exp all [--scale smoke]      # run the full suite
 
 Engine flags (``run`` / ``all``): ``--no-cache`` disables the
-decomposition cache, and ``--stats`` prints engine counters (flow calls,
-cache hits, phase timings) after each experiment.
+decomposition cache, and ``--stats`` attaches a span tracer and prints
+engine counters (flow calls, cache hits) and the time of each span name
+after each experiment.
 
 Audit flags: ``--audit LEVEL`` (``off``/``cheap``/``differential``/
 ``paranoid``) attaches the :mod:`repro.oracle` audit layer so every flow
@@ -71,11 +72,9 @@ def _common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-cache", action="store_true",
                    help="disable the bottleneck-decomposition cache")
     p.add_argument("--stats", action="store_true",
-                   help="print engine counters (flow calls, cache hits, timings)")
-    p.add_argument("--trace", action="store_true",
-                   help="attach a hierarchical span tracer to the engine; "
-                        "implies a span breakdown in the --stats report "
-                        "(worker spans are merged back for parallel sweeps)")
+                   help="trace the run and print engine counters (flow "
+                        "calls, cache hits) and the time of each span name; "
+                        "worker spans are merged back for parallel sweeps")
     p.add_argument("--audit", default="off",
                    choices=["off", "cheap", "differential", "paranoid"],
                    help="validate every engine operation as it runs "
@@ -113,10 +112,6 @@ def _common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-cpu", type=float, default=None, metavar="S",
                    help="per-worker CPU-seconds cap (RLIMIT_CPU; overruns "
                         "kill the worker and requeue its cell)")
-    p.add_argument("--max-bruteforce", type=int, default=None, metavar="N",
-                   help="largest active-set size brute-force oracles may "
-                        "enumerate (default: 18); larger requests raise "
-                        "ResourceExhaustedError instead of running 2^n")
 
 
 def _engine_context(args: argparse.Namespace) -> EngineContext:
@@ -125,7 +120,7 @@ def _engine_context(args: argparse.Namespace) -> EngineContext:
         cache_size=0 if args.no_cache else DEFAULT_CACHE_SIZE,
         workers=args.workers,
     )
-    if args.trace:
+    if args.stats:
         from .obs import Tracer
 
         ctx.tracer = Tracer()
@@ -145,7 +140,6 @@ def _engine_context(args: argparse.Namespace) -> EngineContext:
         faults=args.inject_faults,
         max_memory_mb=args.max_memory,
         max_cpu_seconds=args.max_cpu,
-        max_bruteforce_n=args.max_bruteforce,
     )
     ctx.runtime = policy
     if args.inject_faults:

@@ -197,7 +197,7 @@ def bd_allocation(
     zero_tol = ctx.zero_tol
 
     ctx.counters.allocations += 1
-    with ctx.counters.timed("allocate"), ctx.span("allocate"):
+    with ctx.span("allocate"):
         for pair in decomp.pairs:
             _accumulate_pair(g, pair, x, backend, zero_tol, ctx)
 
@@ -250,7 +250,7 @@ def endpoint_utilities(
 
     x: dict[tuple[int, int], Scalar] = {}
     ctx.counters.allocations += 1
-    with ctx.counters.timed("allocate"), ctx.span("allocate"):
+    with ctx.span("allocate"):
         for pair in needed:
             _accumulate_pair(g, pair, x, backend, zero_tol, ctx)
         utilities = []
@@ -304,7 +304,7 @@ def certified_endpoint_utilities(
     touched = set(vertices)
     x: dict[tuple[int, int], Scalar] = {}
     ctx.counters.allocations += 1
-    with ctx.counters.timed("allocate"), ctx.span("allocate"):
+    with ctx.span("allocate"):
         for pair, hp in zip(decomp.pairs, hint.pairs):
             unchanged = (
                 pair.alpha == hp.alpha

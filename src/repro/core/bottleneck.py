@@ -354,7 +354,7 @@ def bottleneck_decomposition(
         return cached
     ctx.counters.cache_misses += 1
 
-    with ctx.counters.timed("decompose"), ctx.span("decompose"):
+    with ctx.span("decompose"):
         check_no_isolated(g)
         if g.total_weight(backend) == 0:
             raise DecompositionError("graph has zero total weight; sharing is degenerate")

@@ -39,7 +39,6 @@ def brute_force_min_alpha(
         active = list(g.vertices())
     # Size guard (repro.guard.resources): refuse before the 2^n loop, with
     # the typed ResourceExhaustedError the supervisor knows how to handle.
-    # The cap travels with RuntimePolicy.max_bruteforce_n into workers.
     check_bruteforce_size(len(active), what="brute-force min-alpha")
     best = None
     for S in _subsets(active):

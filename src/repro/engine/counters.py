@@ -1,11 +1,13 @@
-"""Engine instrumentation: cheap counters plus per-phase wall time.
+"""Engine instrumentation: cheap integer work counters.
 
 Every :class:`~repro.engine.EngineContext` owns one :class:`Counters`
 instance; the refactored core/attack layers increment it as they work, so a
 sweep can report exactly how many max-flow solves and Dinkelbach steps it
 cost and how much of that the decomposition cache absorbed.  Increments are
 plain attribute additions -- no locks, no allocation -- so the hot paths pay
-essentially nothing for the bookkeeping.
+essentially nothing for the bookkeeping.  Wall time is not a counter: the
+span tree (:class:`repro.obs.Tracer`, attached by ``--stats``) is the one
+record of where time went.
 
 Counters count *work performed*: a retried cell's first attempt stays in
 the totals, and worker-side counters are shipped back and merged by the
@@ -16,9 +18,7 @@ work, i.e. with the decomposition cache disabled).
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["Counters", "INT_COUNTER_FIELDS"]
 
@@ -82,8 +82,6 @@ class Counters:
 
     ``flow_calls`` counts max-flow solves routed through the context;
     ``dynamics_steps`` proportional-response update steps.
-    ``phase_seconds`` maps phase labels (``"decompose"``, ``"allocate"``,
-    ``"best_response"``) to cumulative wall time.
 
     The ``audit_*`` family is written by the :mod:`repro.oracle` audit layer:
     ``audit_flow_checks`` / ``audit_invariant_checks`` count cheap validations
@@ -176,51 +174,14 @@ class Counters:
     sim_attacks: int = 0
     sim_churn_events: int = 0
     sim_zeta_violations: int = 0
-    phase_seconds: dict[str, float] = field(default_factory=dict)
-    #: Open ``timed`` depth per phase label.  Bookkeeping only -- excluded
-    #: from snapshots, merges, and resets -- so that re-entering an
-    #: already-active phase does not double-count its wall time.
-    _active_phases: dict[str, int] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-
-    @contextmanager
-    def timed(self, phase: str):
-        """Accumulate the wall time of the ``with`` body under ``phase``.
-
-        Reentrancy-safe: only the *outermost* ``timed(phase)`` of a nested
-        stack records elapsed time (an inner re-entry is already covered by
-        the outer interval, so adding it again would make ``phase_seconds``
-        exceed wall time), and the accounting is exception-safe -- a body
-        that raises still closes its interval, and an inner phase raising
-        through an outer one leaves the outer phase's elapsed time intact.
-        """
-        depth = self._active_phases.get(phase, 0)
-        self._active_phases[phase] = depth + 1
-        start = time.perf_counter() if depth == 0 else 0.0
-        try:
-            yield self
-        finally:
-            remaining = self._active_phases[phase] - 1
-            if remaining:
-                self._active_phases[phase] = remaining
-            else:
-                del self._active_phases[phase]
-                elapsed = time.perf_counter() - start
-                self.phase_seconds[phase] = (
-                    self.phase_seconds.get(phase, 0.0) + elapsed
-                )
 
     def snapshot(self) -> dict:
         """Plain-dict copy (stable keys; safe to serialize, diff, merge)."""
-        out = {name: getattr(self, name) for name in INT_COUNTER_FIELDS}
-        out["phase_seconds"] = dict(self.phase_seconds)
-        return out
+        return {name: getattr(self, name) for name in INT_COUNTER_FIELDS}
 
     def reset(self) -> None:
         for name in INT_COUNTER_FIELDS:
             setattr(self, name, 0)
-        self.phase_seconds = {}
 
     def merge(self, other: "Counters") -> None:
         """Fold another counter set into this one (per-worker aggregation)."""
@@ -238,5 +199,3 @@ class Counters:
         for name in INT_COUNTER_FIELDS:
             if name in snap:
                 setattr(self, name, getattr(self, name) + snap[name])
-        for phase, secs in snap.get("phase_seconds", {}).items():
-            self.phase_seconds[phase] = self.phase_seconds.get(phase, 0.0) + secs

@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 from ..engine import EngineContext, resolve_context
 from ..exceptions import ExperimentError
 from ..io.tables import format_table
+from ..obs import SPAN_SEP
 from ..runtime import decode_value, encode_value
 from ..theory import CheckResult
 
@@ -48,11 +49,35 @@ def experiment_context(ctx: Optional[EngineContext]) -> EngineContext:
     return resolve_context(ctx)
 
 
+def _seconds_by_span_name(spans: dict) -> dict[str, float]:
+    """Inclusive time per span name over its outermost occurrences.
+
+    A span name may itself hold the separator (``sim/attack``), so a path
+    splits into names only where a recorded path ends.  A name re-entered
+    below itself (``decompose/decompose``) is already inside the outer
+    interval and counts once; a name under several parents
+    (``decompose`` and ``best_response/decompose``) sums.
+    """
+    out: dict[str, float] = {}
+    for path, s in spans.items():
+        names, start = [], 0
+        for i, ch in enumerate(path):
+            if ch == SPAN_SEP and path[:i] in spans:
+                names.append(path[start:i])
+                start = i + 1
+        name = path[start:]
+        if name not in names:
+            out[name] = out.get(name, 0.0) + s["total_s"]
+    return out
+
+
 def format_engine_stats(stats: dict) -> str:
     """One-line human-readable rendering of ``EngineContext.stats()``."""
     cache = stats.get("cache", {})
-    phases = ", ".join(
-        f"{name}={secs:.3f}s" for name, secs in sorted(stats.get("phase_seconds", {}).items())
+    seconds = _seconds_by_span_name(stats.get("spans", {}))
+    times = " ".join(
+        f"{name}={secs:.3f}s"
+        for name, secs in sorted(seconds.items(), key=lambda kv: (-kv[1], kv[0]))
     )
     audit = ""
     if stats.get("audit_flow_checks") or stats.get("audit_invariant_checks"):
@@ -78,14 +103,6 @@ def format_engine_stats(stats: dict) -> str:
     dynamics = ""
     if stats.get("dynamics_steps"):
         dynamics = f"dynamics steps={stats.get('dynamics_steps')} "
-    spans = ""
-    if stats.get("spans"):
-        # Heaviest spans first; the full tree lives in the --json dump.
-        top = sorted(stats["spans"].items(),
-                     key=lambda kv: kv[1]["total_s"], reverse=True)[:5]
-        spans = " | spans: " + " ".join(
-            f"{path}={s['total_s']:.3f}s/{s['count']}" for path, s in top
-        )
     return (
         f"engine: backend={stats.get('backend')} | "
         f"flow calls={stats.get('flow_calls')} "
@@ -96,8 +113,7 @@ def format_engine_stats(stats: dict) -> str:
         + f"| cache hits={cache.get('hits')} misses={cache.get('misses')} "
         f"size={cache.get('size')}/{cache.get('maxsize')}"
         + audit
-        + (f" | {phases}" if phases else "")
-        + spans
+        + (f" | spans: {times}" if times else "")
     )
 
 

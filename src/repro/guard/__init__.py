@@ -5,9 +5,9 @@ Three coupled layers (see DESIGN.md, "Error taxonomy & hardening"):
 * :mod:`repro.guard.validate` -- the typed validation pass every public
   entry point (``repro.io`` loaders, corpus/checkpoint deserialization,
   the CLIs) runs over untrusted input before any math sees it;
-* :mod:`repro.guard.resources` -- per-worker ``setrlimit`` envelopes and
-  combinatorial size caps, wired through
-  :class:`~repro.runtime.RuntimePolicy` into the supervisor;
+* :mod:`repro.guard.resources` -- per-worker ``setrlimit`` envelopes,
+  wired through :class:`~repro.runtime.RuntimePolicy` into the
+  supervisor, and the fixed brute-force size cap;
 * :mod:`repro.guard.fuzz` -- the seeded structure-aware fuzzer behind the
   ``repro-fuzz`` CLI that drives the public API with corrupted instances
   and asserts *typed error or audited-correct result, never
@@ -24,10 +24,8 @@ from .resources import (
     DEFAULT_BRUTEFORCE_LIMIT,
     RLIMITS_AVAILABLE,
     apply_rlimits,
-    bruteforce_limit,
     check_bruteforce_size,
     envelope_from_policy,
-    set_bruteforce_limit,
     translate_resource_errors,
 )
 from .validate import (
@@ -37,11 +35,9 @@ from .validate import (
     check_scalar,
     graph_parts_from_dict,
     scalar_from_json,
-    set_validation,
     validate_graph_dict,
     validate_network_dict,
     validate_request_dict,
-    validation_enabled,
 )
 
 __all__ = [
@@ -54,14 +50,10 @@ __all__ = [
     "validate_graph_dict",
     "validate_network_dict",
     "validate_request_dict",
-    "set_validation",
-    "validation_enabled",
     "DEFAULT_BRUTEFORCE_LIMIT",
     "RLIMITS_AVAILABLE",
     "apply_rlimits",
     "envelope_from_policy",
-    "bruteforce_limit",
-    "set_bruteforce_limit",
     "check_bruteforce_size",
     "translate_resource_errors",
 ]

@@ -1,7 +1,7 @@
 """Resource envelopes: per-worker rlimits and combinatorial size caps.
 
 An adversarial (or merely degenerate) instance must cost one cell, not the
-host.  Three envelopes, all carried by
+host.  Three envelopes; the first two are carried by
 :class:`~repro.runtime.RuntimePolicy` and applied by the supervisor:
 
 * **address space** (``RLIMIT_AS``) -- a worker whose cell balloons past
@@ -14,9 +14,10 @@ host.  Three envelopes, all carried by
   supervisor ``timeout``'s job); the supervisor observes a dead worker and
   requeues the cell through the normal crash path;
 * **enumeration size** -- the brute-force oracles refuse instances above
-  :func:`bruteforce_limit` *before* entering a ``2^n`` loop, so the cap is
-  enforced even on the serial path where rlimits cannot be applied
-  (limiting the supervisor's own process would take down the host run).
+  the fixed :data:`DEFAULT_BRUTEFORCE_LIMIT` *before* entering a ``2^n``
+  loop, so the cap holds even on the serial path where rlimits cannot be
+  applied (limiting the supervisor's own process would take down the host
+  run).
 
 Rlimits are process-wide, so they are applied only inside worker
 processes, never in the caller; a pooled worker re-applies its envelope
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from ..exceptions import EngineError, ResourceExhaustedError
+from ..exceptions import ResourceExhaustedError
 
 try:  # pragma: no cover - resource is POSIX-only
     import resource as _resource
@@ -40,8 +41,6 @@ __all__ = [
     "RLIMITS_AVAILABLE",
     "apply_rlimits",
     "envelope_from_policy",
-    "bruteforce_limit",
-    "set_bruteforce_limit",
     "check_bruteforce_size",
     "translate_resource_errors",
 ]
@@ -50,11 +49,9 @@ __all__ = [
 #: memory/CPU envelopes are silently inert and only the size caps apply.
 RLIMITS_AVAILABLE = _resource is not None
 
-#: Default cap on brute-force enumeration (``2^n`` subsets): matches the
+#: Cap on brute-force enumeration (``2^n`` subsets): matches the
 #: historical ``_BRUTE_LIMIT`` of :mod:`repro.core.bruteforce`.
 DEFAULT_BRUTEFORCE_LIMIT = 18
-
-_BRUTEFORCE_LIMIT = DEFAULT_BRUTEFORCE_LIMIT
 
 
 def apply_rlimits(
@@ -112,36 +109,13 @@ def envelope_from_policy(policy) -> Optional[tuple]:
     return (mem, cpu)
 
 
-def bruteforce_limit() -> int:
-    """Current cap on brute-force enumeration sizes (vertex count)."""
-    return _BRUTEFORCE_LIMIT
-
-
-def set_bruteforce_limit(limit: Optional[int]) -> int:
-    """Set the process-wide brute-force cap; returns the previous value.
-
-    ``None`` restores the default.  The supervisor installs the policy's
-    ``max_bruteforce_n`` in each worker (and around serial guarded runs)
-    so the cap travels with the envelope.
-    """
-    global _BRUTEFORCE_LIMIT
-    old = _BRUTEFORCE_LIMIT
-    if limit is None:
-        _BRUTEFORCE_LIMIT = DEFAULT_BRUTEFORCE_LIMIT
-    else:
-        if limit < 1:
-            raise EngineError(f"brute-force limit must be >= 1, got {limit}")
-        _BRUTEFORCE_LIMIT = int(limit)
-    return old
-
-
 def check_bruteforce_size(n: int, what: str = "brute force") -> None:
-    """Refuse a ``2^n`` enumeration above the configured cap -- typed."""
-    if n > _BRUTEFORCE_LIMIT:
+    """Refuse a ``2^n`` enumeration above the cap -- typed."""
+    if n > DEFAULT_BRUTEFORCE_LIMIT:
         raise ResourceExhaustedError(
             f"{what} over {n} vertices exceeds the size cap "
-            f"{_BRUTEFORCE_LIMIT} (2^{n} subsets); raise the cap explicitly "
-            f"or use the parametric path",
+            f"{DEFAULT_BRUTEFORCE_LIMIT} (2^{n} subsets); use the "
+            f"parametric path",
             resource="size",
         )
 

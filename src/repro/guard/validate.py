@@ -16,11 +16,8 @@ those checks were never meant to see.  A graph payload's pass also makes
 the constructor's two structural checks (no self-loop, no duplicate
 edge, both :class:`~repro.exceptions.GraphError`), so
 :func:`repro.io.graph_from_dict` builds from the decoded parts without
-checking anything twice.
-
-A process-wide switch (:func:`set_validation` / :func:`validation_enabled`)
-lets trusted hot paths opt out of the deep scalar re-checks; the default is
-on, and the fuzz harness asserts the on-path never crashes.
+checking anything twice.  Every scalar is decoded and checked on every
+pass, and the fuzz harness asserts the pass never crashes.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ import math
 import re
 from fractions import Fraction
 from operator import index as _as_index
-from typing import Any, Optional
+from typing import Any
 
 from ..exceptions import GraphError, MalformedInputError
 from ..numeric import Scalar
@@ -44,8 +41,6 @@ __all__ = [
     "validate_graph_dict",
     "validate_network_dict",
     "validate_request_dict",
-    "set_validation",
-    "validation_enabled",
 ]
 
 #: Hard ceiling on vertex counts accepted from untrusted input.  Large
@@ -58,29 +53,6 @@ MAX_VERTICES = 1 << 22
 MAX_EDGES = 1 << 24
 
 _FRACTION_RE = re.compile(r"^(-?\d+)/(\d+)$")
-
-#: Process-wide validation switch (see :func:`set_validation`).
-_VALIDATION = True
-
-
-def set_validation(enabled: bool) -> bool:
-    """Toggle deep boundary validation process-wide; returns the old value.
-
-    The fast path (``enabled=False``) is for trusted internal
-    reconstructions -- e.g. re-materializing thousands of checkpointed
-    cells whose scalars were validated when first computed.  Public entry
-    points never consult this switch for *shape* checks, only for the
-    per-scalar re-checks.
-    """
-    global _VALIDATION
-    old = _VALIDATION
-    _VALIDATION = bool(enabled)
-    return old
-
-
-def validation_enabled() -> bool:
-    return _VALIDATION
-
 
 def _reject(what: str, obj: Any) -> MalformedInputError:
     return MalformedInputError(f"{what}: {obj!r}")
@@ -102,8 +74,6 @@ def check_scalar(
     subclasses ``int``: a weight of ``True`` is always a serialization bug
     upstream.
     """
-    if not _VALIDATION:
-        return value
     if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
         raise _reject(f"{what} is not a number", value)
     if isinstance(value, float) and not math.isfinite(value):
@@ -202,22 +172,14 @@ def validate_graph_dict(d: Any) -> dict:
     graph errors (self-loops, duplicate edges in either orientation) raise
     the constructor's :class:`~repro.exceptions.GraphError` taxonomy.
     """
-    _check_graph_payload(d, decode=_VALIDATION)
+    graph_parts_from_dict(d)
     return d
 
 
 def graph_parts_from_dict(d: Any) -> tuple[int, list, list]:
     """:func:`validate_graph_dict`'s pass that also returns what the graph
     is built from: ``(n, edges, weights)``, the edges as checked integer
-    pairs and each weight decoded once (whatever the validation switch
-    says)."""
-    return _check_graph_payload(d, decode=True)
-
-
-def _check_graph_payload(d: Any,
-                         decode: bool) -> tuple[int, list, Optional[list]]:
-    """The checks of :func:`validate_graph_dict`, returning ``(n, edges,
-    weights)``; the weights are decoded only when ``decode`` is set."""
+    pairs and each weight decoded once."""
     if not isinstance(d, dict):
         raise _reject("graph payload is not an object", type(d).__name__)
     for key in ("n", "edges", "weights"):
@@ -252,10 +214,8 @@ def _check_graph_payload(d: Any,
         raise MalformedInputError(
             f"graph payload has {len(weights)} weights for n={n}"
         )
-    decoded = None
-    if decode:
-        decoded = [scalar_from_json(w, what=f"weight of vertex {i}")
-                   for i, w in enumerate(weights)]
+    decoded = [scalar_from_json(w, what=f"weight of vertex {i}")
+               for i, w in enumerate(weights)]
     labels = d.get("labels")
     if labels is not None:
         if not isinstance(labels, (list, tuple)) or len(labels) != n:
@@ -359,6 +319,5 @@ def validate_network_dict(d: Any) -> dict:
             raise _reject("network arc is not a [u, v, cap] triple", a)
         _check_endpoint(a[0], n, "arc")
         _check_endpoint(a[1], n, "arc")
-        if _VALIDATION:
-            scalar_from_json(a[2], what="arc capacity", allow_positive_inf=True)
+        scalar_from_json(a[2], what="arc capacity", allow_positive_inf=True)
     return d

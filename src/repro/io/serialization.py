@@ -21,7 +21,6 @@ from ..guard import (
     graph_parts_from_dict,
     scalar_from_json,
     validate_network_dict,
-    validation_enabled,
 )
 from ..numeric import Scalar
 
@@ -76,13 +75,10 @@ def graph_from_dict(d: dict) -> WeightedGraph:
     payload shape, every scalar (each weight decoded once) and the edge
     structure (self-loops and duplicate edges raise the constructor's
     :class:`~repro.exceptions.GraphError`), so the graph is built from its
-    checked parts without the constructor checking them again -- unless
-    validation is switched off, which skips the guard's scalar checks and
-    so leaves them to the constructor.
+    checked parts without the constructor checking them again.
     """
     n, edges, weights = graph_parts_from_dict(d)
-    return WeightedGraph(n, edges, weights, d.get("labels"),
-                         validate=not validation_enabled())
+    return WeightedGraph(n, edges, weights, d.get("labels"), validate=False)
 
 
 def network_to_dict(net: FlowNetwork) -> dict:

@@ -292,12 +292,10 @@ def run_bench(
                 best_wall = wall
             counters = ctx.counters.snapshot()
             spans = ctx.tracer.snapshot()
-        phase_seconds = counters.pop("phase_seconds", {})
         benchmarks[case.name] = {
             "group": case.group,
             "wall_s": best_wall,
             "counters": counters,
-            "phase_seconds": phase_seconds,
             "spans": spans,
         }
     totals: dict[str, object] = {"wall_s": sum(b["wall_s"] for b in benchmarks.values())}

@@ -1,11 +1,12 @@
 """One snapshot/merge protocol for every counter family, across processes.
 
-The library already accumulates three counter families on one
+The library already accumulates three integer counter families on one
 :class:`~repro.engine.Counters` object (engine work, audit checks, runtime
-recoveries) plus span statistics on an optional tracer.  What was missing
-is the *cross-process* half of the story: contexts rebuilt inside worker
-processes (:func:`repro.analysis.parallel._context_for`) did all the work
-of a parallel sweep, and their counters died with the worker -- ``--stats``
+recoveries) plus span statistics -- the one record of wall time -- on an
+optional tracer.  What was missing is the *cross-process* half of the
+story: contexts rebuilt inside worker processes
+(:func:`repro.analysis.parallel._context_for`) did all the work of a
+parallel sweep, and their counters died with the worker -- ``--stats``
 silently reported near-zero totals for any run with ``--workers N``.
 
 This module closes that gap with a deliberately tiny protocol:
@@ -97,26 +98,15 @@ def registered_worker_contexts() -> tuple:
 def diff_counter_snapshots(cur: dict, last: Optional[dict]) -> dict:
     """``cur - last`` over a :meth:`~repro.engine.Counters.snapshot` dict.
 
-    Integer counters subtract; the nested ``phase_seconds`` mapping
-    subtracts per phase.  Zero entries are dropped so the result stays
-    small on the wire; an all-zero delta collapses to ``{}``.
+    Zero entries are dropped so the result stays small on the wire; an
+    all-zero delta collapses to ``{}``.
     """
     last = last or {}
     out: dict = {}
     for key, value in cur.items():
-        if key == "phase_seconds":
-            prev = last.get("phase_seconds", {})
-            phases = {
-                phase: secs - prev.get(phase, 0.0)
-                for phase, secs in value.items()
-                if secs - prev.get(phase, 0.0) != 0.0
-            }
-            if phases:
-                out["phase_seconds"] = phases
-        else:
-            d = value - last.get(key, 0)
-            if d:
-                out[key] = d
+        d = value - last.get(key, 0)
+        if d:
+            out[key] = d
     return out
 
 
@@ -138,12 +128,7 @@ def diff_span_snapshots(cur: dict, last: Optional[dict]) -> dict:
 
 def _merge_counter_deltas(into: dict, delta: dict) -> None:
     for key, value in delta.items():
-        if key == "phase_seconds":
-            phases = into.setdefault("phase_seconds", {})
-            for phase, secs in value.items():
-                phases[phase] = phases.get(phase, 0.0) + secs
-        else:
-            into[key] = into.get(key, 0) + value
+        into[key] = into.get(key, 0) + value
 
 
 def _merge_span_deltas(into: dict, delta: dict) -> None:

@@ -58,11 +58,6 @@ class RuntimePolicy:
         time (distinct from the wall-clock ``timeout``).  The kernel kills
         a worker that exceeds it; the supervisor requeues its cell through
         the crash/retry path.  ``None`` disables the envelope.
-    max_bruteforce_n:
-        Size cap for the exponential brute-force oracles, installed in
-        each worker (and around guarded serial cells); instances above it
-        raise :class:`~repro.exceptions.ResourceExhaustedError` before a
-        ``2^n`` enumeration starts.  ``None`` keeps the library default.
     """
 
     timeout: Optional[float] = None
@@ -75,7 +70,6 @@ class RuntimePolicy:
     max_pool_failures: int = 3
     max_memory_mb: Optional[float] = None
     max_cpu_seconds: Optional[float] = None
-    max_bruteforce_n: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.timeout is not None and self.timeout <= 0:
@@ -92,9 +86,6 @@ class RuntimePolicy:
         if self.max_cpu_seconds is not None and self.max_cpu_seconds <= 0:
             raise EngineError(
                 f"max_cpu_seconds must be positive, got {self.max_cpu_seconds}")
-        if self.max_bruteforce_n is not None and self.max_bruteforce_n < 1:
-            raise EngineError(
-                f"max_bruteforce_n must be >= 1, got {self.max_bruteforce_n}")
 
     @property
     def supervised(self) -> bool:
@@ -107,7 +98,6 @@ class RuntimePolicy:
             or self.faults is not None
             or self.max_memory_mb is not None
             or self.max_cpu_seconds is not None
-            or self.max_bruteforce_n is not None
         )
 
     def backoff(self, attempt: int) -> float:

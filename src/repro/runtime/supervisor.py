@@ -68,7 +68,6 @@ from ..exceptions import (
 from ..guard.resources import (
     apply_rlimits,
     envelope_from_policy,
-    set_bruteforce_limit,
     translate_resource_errors,
 )
 from ..obs.metrics import (
@@ -133,8 +132,6 @@ def run_cell(
             if injector is not None:
                 injector.fire("worker", index=index, attempt=attempt)
                 injector.fire("cell", index=index, attempt=attempt)
-            prev_limit = (set_bruteforce_limit(policy.max_bruteforce_n)
-                          if policy.max_bruteforce_n is not None else None)
             try:
                 return fn(item)
             except (MemoryError, RecursionError) as exc:
@@ -142,9 +139,6 @@ def run_cell(
                 # run), but exhaustion still becomes the typed, retryable
                 # error so the recovery ladder below applies.
                 raise translate_resource_errors(exc) from exc
-            finally:
-                if prev_limit is not None:
-                    set_bruteforce_limit(prev_limit)
         except Exception as exc:
             if not is_retryable(exc):
                 raise
@@ -207,7 +201,6 @@ class _Arm(NamedTuple):
     fn: Callable
     faults: Optional[str]
     envelope: Optional[tuple]
-    max_bruteforce_n: Optional[int]
 
 
 def _arm_worker(arm: _Arm, injector):
@@ -216,8 +209,6 @@ def _arm_worker(arm: _Arm, injector):
     schedule recur map after map, as it would with a fork per map."""
     if arm.envelope is not None:
         apply_rlimits(*arm.envelope)
-    if arm.max_bruteforce_n is not None:
-        set_bruteforce_limit(arm.max_bruteforce_n)
     if arm.faults:
         injector = install_injector(parse_fault_spec(arm.faults),
                                     in_worker=True)
@@ -407,8 +398,7 @@ class WorkerPool:
         costing the map a retry.
         """
         old = self._arm
-        if old is not None and (old.envelope, old.max_bruteforce_n) != (
-                arm.envelope, arm.max_bruteforce_n):
+        if old is not None and old.envelope != arm.envelope:
             # Arming sets process-wide limits but never restores the
             # inherited ones: other limits need fresh workers.
             self.close()
@@ -711,8 +701,7 @@ class _Supervisor:
         # died or was killed since the last map.
         replacing = self.pool.opened
         arm = _Arm(self.fn, self.policy.faults,
-                   envelope_from_policy(self.policy),
-                   self.policy.max_bruteforce_n)
+                   envelope_from_policy(self.policy))
         for _ in range(self.pool.begin_map(arm)):
             if self._spawn_worker() is not None and replacing:
                 self.counters.worker_respawns += 1

@@ -701,8 +701,6 @@ def run_legs(bench_name: str, legs: list[Leg], tag: str) -> dict:
         "group": "serve",
         "wall_s": wall,
         "counters": counters,
-        "phase_seconds": {name: run["wall_s"]
-                          for name, run in details.items()},
         "requests": sum(run["requests"] for run in runs),
         "audited": sum(run["audited"] for run in runs),
         "problems": len(problems),

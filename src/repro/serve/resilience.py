@@ -118,26 +118,18 @@ class AdmissionController:
 
     The read gate is the backpressure half: above ``high_watermark`` the
     server stops reading from connections (``should_pause``), below
-    ``low_watermark`` it resumes.  Hysteresis (high > low) keeps the gate
-    from flapping once per request at the boundary.
+    ``low_watermark`` it resumes.  Both derive from the cap (high =
+    cap/2, low = high/2); the hysteresis (high > low) keeps the gate from
+    flapping once per request at the boundary.
     """
 
-    def __init__(self, queue_cap: int, batch_max: int,
-                 high_watermark: Optional[int] = None,
-                 low_watermark: Optional[int] = None) -> None:
+    def __init__(self, queue_cap: int, batch_max: int) -> None:
         if queue_cap < 1:
             raise ValueError(f"queue_cap must be >= 1, got {queue_cap}")
         self.queue_cap = int(queue_cap)
         self.batch_max = max(1, int(batch_max))
-        self.high_watermark = (int(high_watermark) if high_watermark is not None
-                               else max(1, self.queue_cap // 2))
-        self.low_watermark = (int(low_watermark) if low_watermark is not None
-                              else max(0, self.high_watermark // 2))
-        if not 0 <= self.low_watermark < self.high_watermark <= self.queue_cap:
-            raise ValueError(
-                f"watermarks must satisfy 0 <= low < high <= cap, got "
-                f"low={self.low_watermark} high={self.high_watermark} "
-                f"cap={self.queue_cap}")
+        self.high_watermark = max(1, self.queue_cap // 2)
+        self.low_watermark = self.high_watermark // 2
         self.depth = 0
         self.peak_depth = 0
         #: EWMA of flush wall seconds; seeded at 1 ms so the first hints

@@ -194,11 +194,9 @@ class ServeConfig:
     faults: Optional[str] = None
     #: Admission control: hard cap on queued (accepted, not yet flushed)
     #: cells -- beyond it new work is shed with a typed ``overloaded``
-    #: envelope -- and the read-gate watermarks (``None`` = derived:
-    #: high = cap/2, low = high/2) that pause connection reads first.
+    #: envelope.  The read-gate watermarks that pause connection reads
+    #: first derive from it (high = cap/2, low = high/2).
     queue_cap: int = 256
-    read_high_watermark: Optional[int] = None
-    read_low_watermark: Optional[int] = None
     #: Per-request deadline applied when the request carries none
     #: (``None`` = unbounded, the historical behavior).
     default_deadline_ms: Optional[float] = None
@@ -288,21 +286,19 @@ class AllocationServer:
         # context memoized under spec i, so concurrent shard dispatches
         # (including the breaker's serial rung, which runs in *this*
         # process) each accumulate onto their own metrics-drain source and
-        # stay individually attributable.
+        # stay individually attributable.  The specs trace, so a worker's
+        # ``serve/solve`` spans drain into the server's span tree.
         nshards = max(config.shards, 1)
         self.shard_specs = [
-            replace(self.spec, tag=f"serve-shard-{i}") for i in range(nshards)
+            replace(self.spec, tag=f"serve-shard-{i}", trace=True)
+            for i in range(nshards)
         ]
         self.policy = config.effective_policy()
         tracer = Tracer(enabled=True)
         self.ctx = EngineContext(cache_size=0, tracer=tracer)
         self.cache = ResponseCache(config.cache_size)
         self.admission = AdmissionController(
-            queue_cap=config.queue_cap,
-            batch_max=config.batch_max,
-            high_watermark=config.read_high_watermark,
-            low_watermark=config.read_low_watermark,
-        )
+            queue_cap=config.queue_cap, batch_max=config.batch_max)
         self.breakers = [
             ShardBreaker(i, config.breaker_config()) for i in range(nshards)
         ]

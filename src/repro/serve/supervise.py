@@ -101,8 +101,8 @@ def serve_argv(config: ServeConfig) -> list[str]:
     """This interpreter's ``repro-serve serve`` command line for ``config``.
 
     Every server setting the CLI has a flag for is encoded, so the child
-    runs the server ``config`` describes; the rest (engine spec, read-gate
-    watermarks, breaker cooldown cap) keep their defaults.
+    runs the server ``config`` describes; the rest (engine spec, breaker
+    cooldown cap) keep their defaults.
     """
     policy = config.effective_policy()
     argv = [sys.executable, "-m", "repro.serve.cli", "serve",

@@ -79,9 +79,8 @@ def _common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-cache", action="store_true",
                    help="disable the bottleneck-decomposition cache")
     p.add_argument("--stats", action="store_true",
-                   help="print engine counters after the run")
-    p.add_argument("--trace", action="store_true",
-                   help="attach a span tracer (breakdown under --stats)")
+                   help="trace the run and print engine counters and "
+                        "the time of each span name after it")
     p.add_argument("--audit", default="off",
                    choices=["off", "cheap", "differential", "paranoid"],
                    help="attach the oracle audit layer to every solve")
@@ -101,7 +100,6 @@ def _common(p: argparse.ArgumentParser) -> None:
                         "(e.g. 'cell:exc@3;worker:kill@5')")
     p.add_argument("--max-memory", type=float, default=None, metavar="MB")
     p.add_argument("--max-cpu", type=float, default=None, metavar="S")
-    p.add_argument("--max-bruteforce", type=int, default=None, metavar="N")
 
 
 def _execute(args: argparse.Namespace, scenario, seed=None, epochs=None):

@@ -6,6 +6,7 @@ import pytest
 
 from repro.engine import (
     DEFAULT_CACHE_SIZE,
+    INT_COUNTER_FIELDS,
     EngineContext,
     EngineSpec,
     default_context,
@@ -15,6 +16,7 @@ from repro.exceptions import EngineError
 from repro.flow import FlowNetwork
 from repro.graphs import ring
 from repro.numeric import EXACT, FLOAT
+from repro.obs import Tracer
 
 
 def _diamond():
@@ -88,19 +90,21 @@ def test_cache_size_zero_disables_cache():
 
 
 def test_stats_shape_and_reset():
-    ctx = EngineContext()
+    ctx = EngineContext(tracer=Tracer())
     ctx.max_flow(_diamond(), 0, 3)
-    with ctx.counters.timed("decompose"):
+    with ctx.span("decompose"):
         pass
+    # Counters hold integers only; wall time lives in the span tree.
+    assert set(ctx.counters.snapshot()) == set(INT_COUNTER_FIELDS)
     s = ctx.stats()
     assert s["backend"] == FLOAT.name
     assert s["flow_calls"] == 1
-    assert "decompose" in s["phase_seconds"]
+    assert "decompose" in s["spans"]
     assert set(s["cache"]) == {"size", "maxsize", "hits", "misses", "evictions"}
     ctx.reset_stats()
     s2 = ctx.stats()
     assert s2["flow_calls"] == 0
-    assert s2["phase_seconds"] == {}
+    assert s2["spans"] == {}
     assert s2["cache"]["hits"] == 0
 
 

@@ -5,7 +5,12 @@ import pytest
 
 from repro.exceptions import ExperimentError
 from repro.experiments import EXPERIMENTS, run_experiment
-from repro.experiments.base import ExperimentOutput, Table, scale_factor
+from repro.experiments.base import (
+    ExperimentOutput,
+    Table,
+    format_engine_stats,
+    scale_factor,
+)
 
 
 ALL_IDS = sorted(EXPERIMENTS)
@@ -53,6 +58,32 @@ def test_scale_factor_values():
     assert scale_factor("smoke") == 1
     assert scale_factor("default") == 4
     assert scale_factor("full") == 16
+
+
+def _span(total_s: float) -> dict:
+    return {"count": 1, "total_s": total_s, "self_s": total_s}
+
+
+def test_stats_line_times_each_span_name_once():
+    # Hand-built span tree: decompose re-entered below itself, and
+    # decompose and allocate under best_response as well as top level.
+    spans = {
+        "decompose": _span(1.0),
+        "decompose/decompose": _span(0.5),
+        "decompose/decompose/flow": _span(0.25),
+        "best_response": _span(4.0),
+        "best_response/decompose": _span(2.0),
+        "best_response/allocate": _span(1.5),
+        "allocate": _span(0.5),
+        "sim/attack": _span(6.0),
+        "sim/attack/best_response": _span(1.0),
+    }
+    line = format_engine_stats({"spans": spans, "cache": {}})
+    segment = line.split(" | spans: ")[1]
+    # The re-entry sits inside the outer interval and counts once; a name
+    # under several parents sums; a name holding the separator stays whole.
+    assert segment == ("sim/attack=6.000s best_response=5.000s "
+                       "decompose=3.000s allocate=2.000s flow=0.250s")
 
 
 def test_table_renders_title_and_rule():

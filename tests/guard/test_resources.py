@@ -26,10 +26,8 @@ from repro.guard.resources import (
     DEFAULT_BRUTEFORCE_LIMIT,
     RLIMITS_AVAILABLE,
     apply_rlimits,
-    bruteforce_limit,
     check_bruteforce_size,
     envelope_from_policy,
-    set_bruteforce_limit,
     translate_resource_errors,
 )
 from repro.runtime import RuntimePolicy, supervised_map
@@ -70,15 +68,12 @@ def test_policy_validates_envelope_fields():
         RuntimePolicy(max_memory_mb=-5.0)
     with pytest.raises(EngineError):
         RuntimePolicy(max_cpu_seconds=0)
-    with pytest.raises(EngineError):
-        RuntimePolicy(max_bruteforce_n=0)
-    RuntimePolicy(max_memory_mb=256, max_cpu_seconds=10, max_bruteforce_n=12)
+    RuntimePolicy(max_memory_mb=256, max_cpu_seconds=10)
 
 
 def test_envelope_fields_imply_supervision():
     assert RuntimePolicy(max_memory_mb=256).supervised
     assert RuntimePolicy(max_cpu_seconds=5).supervised
-    assert RuntimePolicy(max_bruteforce_n=10).supervised
 
 
 def test_envelope_from_policy():
@@ -110,48 +105,20 @@ def test_translate_resource_errors():
 # -- brute-force size guard ------------------------------------------------
 
 def test_bruteforce_guard_default_and_override():
-    assert bruteforce_limit() == DEFAULT_BRUTEFORCE_LIMIT
     check_bruteforce_size(DEFAULT_BRUTEFORCE_LIMIT, what="test")
     with pytest.raises(ResourceExhaustedError) as ei:
         check_bruteforce_size(DEFAULT_BRUTEFORCE_LIMIT + 1, what="test")
     assert ei.value.resource == "size"
-    prev = set_bruteforce_limit(4)
-    try:
-        assert prev == DEFAULT_BRUTEFORCE_LIMIT
-        check_bruteforce_size(4, what="test")
-        with pytest.raises(ResourceExhaustedError):
-            check_bruteforce_size(5, what="test")
-    finally:
-        set_bruteforce_limit(None)
-    assert bruteforce_limit() == DEFAULT_BRUTEFORCE_LIMIT
 
 
 def test_bruteforce_oracle_respects_the_guard():
     from repro.core import brute_force_min_alpha
     from repro.graphs import ring
 
-    g = ring([1] * 8)
-    prev = set_bruteforce_limit(6)
-    try:
-        with pytest.raises(ResourceExhaustedError):
-            brute_force_min_alpha(g)
-    finally:
-        set_bruteforce_limit(prev)
-    assert brute_force_min_alpha(g) is not None  # default limit admits n=8
-
-
-def test_policy_cap_travels_into_serial_cells():
-    from repro.core import brute_force_min_alpha
-    from repro.graphs import ring
-
-    g = ring([1] * 8)
-    policy = RuntimePolicy(max_bruteforce_n=4)
-    with pytest.raises(CellFailedError) as ei:
-        supervised_map(lambda _: brute_force_min_alpha(g), [0],
-                       processes=0, policy=policy)
-    assert isinstance(ei.value.__cause__, ResourceExhaustedError)
-    # The cap is scoped to the cell: the host default is restored after.
-    assert bruteforce_limit() == DEFAULT_BRUTEFORCE_LIMIT
+    # Refused before the 2^n loop starts, so this is cheap.
+    with pytest.raises(ResourceExhaustedError):
+        brute_force_min_alpha(ring([1] * (DEFAULT_BRUTEFORCE_LIMIT + 1)))
+    assert brute_force_min_alpha(ring([1] * 8)) is not None
 
 
 # -- rlimits in real workers -----------------------------------------------

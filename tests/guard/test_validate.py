@@ -22,10 +22,8 @@ from repro.guard import (
     MAX_VERTICES,
     check_scalar,
     scalar_from_json,
-    set_validation,
     validate_graph_dict,
     validate_network_dict,
-    validation_enabled,
 )
 from repro.io.serialization import (
     graph_from_dict,
@@ -198,14 +196,6 @@ def test_graph_payload_is_checked_once_by_the_guard():
     assert g.edges == want.edges and g.weights == want.weights
     assert [g.neighbors(v) for v in g.vertices()] == [
         want.neighbors(v) for v in want.vertices()]
-    # With validation switched off the guard skips its scalar checks, so
-    # the constructor keeps its own.
-    prev = set_validation(False)
-    try:
-        with pytest.raises(GraphError):
-            graph_from_dict(ring_payload([1, float("nan"), 1]))
-    finally:
-        set_validation(prev)
 
 
 def test_inf_weight_witness_rejected_at_boundary():
@@ -295,29 +285,6 @@ def test_missing_file_stays_oserror(tmp_path):
     # Absence is an environment problem, not malformed input.
     with pytest.raises(OSError):
         load_graph(str(tmp_path / "nope.json"))
-
-
-# ---------------------------------------------------------------------------
-# the opt-out switch
-# ---------------------------------------------------------------------------
-
-def test_validation_switch_round_trip():
-    assert validation_enabled()
-    prev = set_validation(False)
-    try:
-        assert prev is True
-        assert not validation_enabled()
-        # Deep per-scalar re-checks are skipped on the trusted fast path...
-        check_scalar(float("nan"), what="w")
-        validate_graph_dict(ring_payload([1, 1, {"float": float("nan").hex()}]))
-        # ...but shape checks always run: a non-graph is still refused.
-        with pytest.raises(MalformedInputError):
-            validate_graph_dict({"definitely": "not a graph"})
-    finally:
-        set_validation(True)
-    assert validation_enabled()
-    with pytest.raises(MalformedInputError):
-        check_scalar(float("nan"), what="w")
 
 
 def test_max_vertices_is_a_real_bound():

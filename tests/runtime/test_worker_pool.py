@@ -23,7 +23,7 @@ import time
 import pytest
 
 from repro.engine import Counters
-from repro.exceptions import CellFailedError, ConvergenceError
+from repro.exceptions import ConvergenceError
 from repro.guard.resources import RLIMITS_AVAILABLE
 from repro.runtime import (
     RuntimePolicy,
@@ -84,13 +84,6 @@ def _where(x):
 
 def _marker(x):
     return ("expired", x)
-
-
-def _brute_min_alpha(n):
-    from repro.core.bruteforce import brute_force_min_alpha
-    from repro.graphs import ring
-
-    return brute_force_min_alpha(ring([1.0] * n))
 
 
 def _wait_dead(pid):
@@ -163,14 +156,14 @@ def test_worker_that_died_idle_is_replaced_without_a_retry(pool):
 
 
 def test_map_with_other_limits_starts_on_fresh_workers(pool):
-    # The brute-force cap is process-wide: a worker that took one map's
-    # cap must not carry it into a map without one.
-    capped = RuntimePolicy(max_bruteforce_n=4)
+    # Rlimits are process-wide and arming never lifts them: a worker that
+    # took one map's memory envelope must not carry it into a map without
+    # one.
+    capped = RuntimePolicy(max_memory_mb=4096)
     for run_map in DRIVERS:
         [pid] = pool.pids()
-        with pytest.raises(CellFailedError):
-            run_map(_brute_min_alpha, [6], pool, policy=capped)
-        assert run_map(_brute_min_alpha, [6], pool) == [1]
+        assert run_map(_square, [6], pool, policy=capped) == [36]
+        assert run_map(_square, [6], pool) == [36]
         assert pool.pids() != [pid]
 
 

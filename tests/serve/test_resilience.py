@@ -87,8 +87,7 @@ class TestAdmissionController:
         assert adm.low_watermark == 4
 
     def test_watermark_hysteresis(self):
-        adm = AdmissionController(queue_cap=16, batch_max=4,
-                                  high_watermark=8, low_watermark=4)
+        adm = AdmissionController(queue_cap=16, batch_max=4)  # high 8, low 4
         for _ in range(7):
             adm.admitted()
         assert not adm.should_pause(False)  # 7 < high
@@ -100,12 +99,6 @@ class TestAdmissionController:
         assert not adm.should_pause(True)   # 4 <= low: resume
 
     def test_invalid_watermarks_rejected(self):
-        with pytest.raises(ValueError):
-            AdmissionController(queue_cap=8, batch_max=4,
-                                high_watermark=4, low_watermark=4)
-        with pytest.raises(ValueError):
-            AdmissionController(queue_cap=8, batch_max=4,
-                                high_watermark=9, low_watermark=2)
         with pytest.raises(ValueError):
             AdmissionController(queue_cap=0, batch_max=4)
 

@@ -158,3 +158,15 @@ def test_concurrent_handler_spans_do_not_nest_under_dispatch():
         handle.stop()
     assert "serve/accept" in spans and "serve/dispatch" in spans
     assert not [p for p in spans if "serve/dispatch/serve/" in p]
+
+
+def test_served_miss_reports_the_worker_spans():
+    # The shard specs trace, so the worker's spans drain back with its
+    # counters and land in the server's span tree at top level.
+    with serving(shards=1, cache_size=0) as handle:
+        with client_for(handle) as c:
+            assert _solve(c, 0)["status"] == "ok"
+        spans = handle.server.stats()["spans"]
+    assert {"serve/solve", "serve/solve/decompose",
+            "serve/solve/allocate"} <= set(spans)
+    assert spans["serve/solve"]["count"] == 1

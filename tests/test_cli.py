@@ -43,6 +43,35 @@ def test_run_with_stats(capsys):
     assert "flow calls=0" not in out
 
 
+def test_stats_traces_and_times_each_span_name(capsys):
+    # --stats attaches the tracer itself, so the timing segment names
+    # every span, dinkelbach included.
+    assert main(["run", "EXP-F1", "--scale", "smoke", "--stats"]) == 0
+    line = capsys.readouterr().out.strip().splitlines()[-1]
+    assert line.startswith("engine:")
+    assert " | spans: " in line
+    assert "decompose=" in line and "dinkelbach=" in line
+
+
+def test_sim_stats_keeps_namespaced_span_names(capsys):
+    from repro.sim.cli import main as sim_main
+
+    assert sim_main(["run", "EXP-S1", "--seed", "0", "--epochs", "1",
+                     "--stats"]) == 0
+    line = capsys.readouterr().out.strip().splitlines()[-1]
+    assert "sim/attacks=" in line and "decompose=" in line
+
+
+def test_parsers_reject_retired_flags():
+    from repro.sim.cli import build_parser as build_sim_parser
+
+    for parse, argv in ((build_parser().parse_args, ["run", "EXP-F1"]),
+                        (build_sim_parser().parse_args, ["run", "EXP-S1"])):
+        for flag in (["--trace"], ["--max-bruteforce", "4"]):
+            with pytest.raises(SystemExit):
+                parse(argv + flag)
+
+
 def test_run_no_cache(capsys):
     code = main(["run", "EXP-F1", "--scale", "smoke", "--no-cache", "--stats"])
     assert code == 0
