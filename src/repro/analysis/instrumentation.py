@@ -8,12 +8,11 @@ behind Fig. 2's curves and Fig. 3's pair-dynamics diagrams.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from ..core import bottleneck_decomposition
 from ..graphs import WeightedGraph
-from ..numeric import Backend, FLOAT, Scalar
-from ..theory import decomposition_signature, regimes_of_report
+from ..numeric import Backend, FLOAT
+from ..theory import regimes_of_report
 
 __all__ = ["SweepTrace", "PairEvent", "trace_report_sweep"]
 

@@ -22,9 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import bd_allocation
+from ..engine import EngineContext
 from ..exceptions import AttackError
 from ..graphs import WeightedGraph, cut_index_map, cut_ring_at, require_ring
 from ..numeric import Backend, FLOAT, Scalar
+from .best_response import best_split, split_evaluator
+from .evaluator import CandidateEvaluator, budget_holds, subdivision_order
 from .misreport import report_weight
 from .multi_split import split_multi
 
@@ -40,15 +43,24 @@ __all__ = [
 
 
 def combined_attacker_utility(
-    g: WeightedGraph, v: int, w1: float, w2: float, backend: Backend = FLOAT
+    g: WeightedGraph, v: int, w1: float, w2: float, backend: Backend = FLOAT,
+    ctx: EngineContext | None = None,
 ) -> float:
     """Attacker utility for an arbitrary (possibly under-reporting) split."""
-    wv = float(g.weights[v])
+    evaluator = split_evaluator(g, v, backend, ctx)
+    return _triangle_utility(evaluator, float(g.weights[v]), w1, w2, backend)
+
+
+def _triangle_utility(
+    evaluator: CandidateEvaluator, wv: float, w1: float, w2: float,
+    backend: Backend, at: float | None = None,
+) -> float:
+    """``U_{v^1} + U_{v^2}`` of one point of the feasible triangle, as a
+    candidate of ``v``'s split evaluator."""
     if w1 < 0 or w2 < 0 or w1 + w2 > wv * (1 + 1e-12):
         raise AttackError(f"({w1}, {w2}) outside the feasible triangle for w_v={wv}")
-    p, v1, v2 = cut_ring_at(g, v, backend.scalar(w1), backend.scalar(w2))
-    alloc = bd_allocation(p, backend=backend)
-    return float(alloc.utilities[v1] + alloc.utilities[v2])
+    u1, u2 = evaluator.utilities((backend.scalar(w1), backend.scalar(w2)), at=at)
+    return float(u1 + u2)
 
 
 @dataclass(frozen=True)
@@ -156,10 +168,7 @@ def misreport_then_cut(
     require_ring(g)
     xs = backend.scalar(x)
     ws1, ws2 = backend.scalar(w1), backend.scalar(w2)
-    total = ws1 + ws2
-    ok = (total == xs) if backend.is_exact else (
-        abs(float(total) - float(xs)) <= backend.tol * max(1.0, float(xs)))
-    if not ok:
+    if not budget_holds(ws1 + ws2, xs, backend):
         raise AttackError(f"split weights {w1!r} + {w2!r} must sum to the report {x!r}")
     reported = report_weight(g, v, xs, backend)
     p, v1, v2 = cut_ring_at(reported, v, ws1, ws2)
@@ -217,6 +226,7 @@ def best_combined_split(
     grid: int = 24,
     refine: int = 2,
     backend: Backend = FLOAT,
+    ctx: EngineContext | None = None,
 ) -> CombinedBestResponse:
     """Grid + local-refinement search over the feasible triangle.
 
@@ -224,18 +234,26 @@ def best_combined_split(
     neighborhood is then re-scanned at half resolution ``refine`` times.
     The diagonal ``w1 + w2 = w_v`` is scanned at full resolution separately
     so the comparison against Definition 7 is not disadvantaged.
+
+    Every point is a candidate of one
+    :class:`~repro.attack.evaluator.CandidateEvaluator` on the cut path,
+    built once.  Each lattice row (fixed ``w1``) is a family in ``w2``,
+    evaluated in bracket-first order so bracketed points are
+    reconstructed; the refinement stencil's points get warm hints only.
+    The incumbent is still selected in row-major lattice order.
     """
     require_ring(g)
     wv = float(g.weights[v])
-    honest = float(bd_allocation(g, backend=backend).utilities[v])
+    honest = float(bd_allocation(g, backend=backend, ctx=ctx).utilities[v])
     evals = 0
 
-    def U(w1: float, w2: float) -> float:
+    def U(w1: float, w2: float, on_row: bool = False) -> float:
         nonlocal evals
         evals += 1
         w1 = min(max(w1, 0.0), wv)
         w2 = min(max(w2, 0.0), wv - w1)
-        return combined_attacker_utility(g, v, w1, w2, backend)
+        return _triangle_utility(evaluator, wv, w1, w2, backend,
+                                 at=w2 if on_row else None)
 
     if wv == 0:
         return CombinedBestResponse(vertex=v, w1=0.0, w2=0.0, utility=0.0,
@@ -244,20 +262,21 @@ def best_combined_split(
 
     # diagonal (Definition 7) optimum via the dedicated refined search, so
     # the comparison is not skewed by resolution differences
-    from .best_response import best_split
-
-    diag = best_split(g, v, grid=max(grid, 48), backend=backend)
+    diag = best_split(g, v, grid=max(grid, 48), backend=backend, ctx=ctx)
     diag_best = diag.utility
+    evaluator = split_evaluator(g, v, backend, ctx)
 
-    # full triangle scan
+    # full triangle scan, one family per row
     best_w, best_val = (wv, 0.0), -np.inf
     for i in range(grid + 1):
-        for j in range(grid + 1 - i):
-            w1 = wv * i / grid
-            w2 = wv * j / grid
-            val = U(w1, w2)
+        w1 = wv * i / grid
+        evaluator.new_family()
+        row = [0.0] * (grid + 1 - i)
+        for j in subdivision_order(grid - i):
+            row[j] = U(w1, wv * j / grid, on_row=True)
+        for j, val in enumerate(row):
             if val > best_val:
-                best_w, best_val = (w1, w2), val
+                best_w, best_val = (w1, wv * j / grid), val
     step = wv / grid
     for _ in range(refine):
         step /= 2

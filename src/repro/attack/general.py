@@ -25,9 +25,13 @@ from itertools import combinations
 import numpy as np
 
 from ..core import bd_allocation
+from ..engine import EngineContext
 from ..exceptions import AttackError
 from ..graphs import WeightedGraph
 from ..numeric import Backend, FLOAT, Scalar
+from .evaluator import CandidateEvaluator, subdivision_order
+from .multi_split import split_graph
+from .sybil import check_split_budget
 
 __all__ = [
     "GeneralSplit",
@@ -62,45 +66,49 @@ def split_general(
     w1: Scalar,
     w2: Scalar,
     backend: Backend = FLOAT,
+    ctx: EngineContext | None = None,
 ) -> GeneralSplit:
     """Split ``v`` into two nodes; neighbors in ``side2`` rewire to ``v^2``.
 
     ``side2`` must be a proper nonempty subset of ``Gamma(v)`` (otherwise
     the attack degenerates to misreporting).
     """
+    base = _split_graph(g, v, side2, backend)
+    w1b, w2b = _split_weights(g, v, w1, w2, backend)
+    evaluator = CandidateEvaluator(base, (v, g.n), (v, g.n), backend, ctx)
+    u1, u2 = evaluator.utilities((w1b, w2b))
+    return GeneralSplit(
+        graph=evaluator.graph((w1b, w2b)), v1=v, v2=g.n, w1=w1b, w2=w2b,
+        utility=u1 + u2,
+    )
+
+
+def _split_graph(
+    g: WeightedGraph, v: int, side2, backend: Backend
+) -> WeightedGraph:
+    """The split graph of ``v`` (``v^1`` keeps id ``v``, ``v^2`` is id
+    ``n``) with zero-weight identities; raises unless ``side2`` is a
+    proper nonempty subset of ``Gamma(v)``.  It is the two-way
+    :func:`~repro.attack.multi_split.split_graph` with ``side2`` on the
+    second copy."""
     nbrs = set(g.neighbors(v))
     side2 = frozenset(side2)
     if not side2 or side2 == nbrs:
         raise AttackError("side2 must be a proper nonempty subset of Gamma(v)")
     if not side2 <= nbrs:
         raise AttackError(f"side2 {sorted(side2)} not a subset of Gamma(v)")
-    w1b, w2b = backend.scalar(w1), backend.scalar(w2)
-    if w1b < 0 or w2b < 0:
-        raise AttackError("split weights must be non-negative")
-    total, want = w1b + w2b, backend.scalar(g.weights[v])
-    ok = (total == want) if backend.is_exact else (
-        abs(float(total) - float(want)) <= backend.tol * max(1.0, float(want)))
-    if not ok:
-        raise AttackError(f"split weights do not sum to w_v = {g.weights[v]!r}")
+    base, _copies = split_graph(g, v, [sorted(nbrs - side2), sorted(side2)], 2,
+                                backend)
+    return base
 
-    n = g.n
-    edges = []
-    for (a, b) in g.edges:
-        if a == v and b in side2:
-            edges.append((n, b))
-        elif b == v and a in side2:
-            edges.append((a, n))
-        else:
-            edges.append((a, b))
-    weights = list(g.weights) + [w2b]
-    weights[v] = w1b
-    labels = list(g.labels) + [f"{g.labels[v]}^2"]
-    g2 = WeightedGraph(n + 1, edges, weights, labels)
-    alloc = bd_allocation(g2, backend=backend)
-    return GeneralSplit(
-        graph=g2, v1=v, v2=n, w1=w1b, w2=w2b,
-        utility=alloc.utilities[v] + alloc.utilities[n],
-    )
+
+def _split_weights(
+    g: WeightedGraph, v: int, w1: Scalar, w2: Scalar, backend: Backend
+) -> tuple[Scalar, Scalar]:
+    """``(w1, w2)`` as backend scalars, if they split ``w_v``."""
+    w1b, w2b = backend.scalar(w1), backend.scalar(w2)
+    check_split_budget(g, v, w1b, w2b, backend)
+    return w1b, w2b
 
 
 def neighbor_bipartitions(g: WeightedGraph, v: int):
@@ -144,16 +152,21 @@ def best_general_split(
     grid: int = 32,
     refine_iters: int = 50,
     backend: Backend = FLOAT,
+    ctx: EngineContext | None = None,
 ) -> GeneralBestResponse:
     """Search (bipartition x weight split) for the attacker's optimum.
 
     The weight-split inner search mirrors :func:`repro.attack.best_split`
-    (uniform grid + golden refinement per bipartition).
+    (uniform grid + golden refinement per bipartition), and so does its
+    evaluation: each bipartition is one family in ``w1`` of the shared
+    :class:`~repro.attack.evaluator.CandidateEvaluator`, its split graph
+    built once, the grid evaluated in bracket-first order (the argmax
+    still runs in grid order), bracketed candidates reconstructed.
     """
     if g.degree(v) < 2:
         raise AttackError("a degree-1 vertex cannot split non-degenerately")
     wv = float(g.weights[v])
-    honest = float(bd_allocation(g, backend=backend).utilities[v])
+    honest = float(bd_allocation(g, backend=backend, ctx=ctx).utilities[v])
     best = GeneralBestResponse(
         vertex=v, side2=frozenset(), w1=wv, w2=0.0,
         utility=honest, honest_utility=honest, strategies_tried=0,
@@ -165,13 +178,19 @@ def best_general_split(
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
     for side2 in neighbor_bipartitions(g, v):
         tried += 1
+        base = _split_graph(g, v, side2, backend)
+        evaluator = CandidateEvaluator(base, (v, g.n), (v, g.n), backend, ctx)
 
         def U(w1: float) -> float:
             w1 = min(max(w1, 0.0), wv)
-            return float(split_general(g, v, side2, w1, wv - w1, backend).utility)
+            w1b, w2b = _split_weights(g, v, w1, wv - w1, backend)
+            u1, u2 = evaluator.utilities((w1b, w2b), at=float(w1b))
+            return float(u1 + u2)
 
         xs = list(np.linspace(0.0, wv, grid + 1))
-        vals = [U(x) for x in xs]
+        vals = [0.0] * len(xs)
+        for i in subdivision_order(grid):
+            vals[i] = U(xs[i])
         i = int(np.argmax(vals))
         w_best, v_best = xs[i], vals[i]
         a = max(0.0, w_best - wv / grid)

@@ -21,9 +21,11 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ..core import bd_allocation
+from ..engine import EngineContext
 from ..exceptions import AttackError
 from ..graphs import WeightedGraph
 from ..numeric import Backend, FLOAT, Scalar
+from .evaluator import CandidateEvaluator, budget_holds, subdivision_order
 
 __all__ = [
     "MultiSplit",
@@ -50,6 +52,7 @@ def split_multi(
     groups: Sequence[Sequence[int]],
     weights: Sequence[Scalar],
     backend: Backend = FLOAT,
+    ctx: EngineContext | None = None,
 ) -> MultiSplit:
     """Split ``v`` into ``m = len(groups)`` identities.
 
@@ -58,23 +61,33 @@ def split_multi(
     ``n, n+1, ...``.  ``weights`` are the copies' endowments and must sum
     to ``w_v``.
     """
+    base, copies = split_graph(g, v, groups, len(weights), backend)
+    ws = _identity_weights(g, v, weights, backend)
+    evaluator = CandidateEvaluator(base, copies, copies, backend, ctx)
+    utility = backend.total(evaluator.utilities(ws))
+    return MultiSplit(graph=evaluator.graph(ws), copies=copies,
+                      weights=tuple(ws), utility=utility)
+
+
+def split_graph(
+    g: WeightedGraph,
+    v: int,
+    groups: Sequence[Sequence[int]],
+    n_weights: int,
+    backend: Backend,
+) -> tuple[WeightedGraph, tuple[int, ...]]:
+    """The m-way split graph of ``v`` with zero-weight copies, and the
+    copies' ids; raises unless ``groups`` partitions ``Gamma(v)`` into
+    ``n_weights`` nonempty parts."""
     nbrs = set(g.neighbors(v))
     m = len(groups)
     if m < 1 or m > len(nbrs):
         raise AttackError(f"need 1 <= m <= d_v = {len(nbrs)}, got m = {m}")
-    if len(weights) != m:
+    if n_weights != m:
         raise AttackError("one weight per identity required")
     flat: list[int] = [u for grp in groups for u in grp]
     if len(flat) != len(set(flat)) or set(flat) != nbrs or any(not grp for grp in groups):
         raise AttackError("groups must partition Gamma(v) into nonempty parts")
-    ws = [backend.scalar(x) for x in weights]
-    if any(x < 0 for x in ws):
-        raise AttackError("identity weights must be non-negative")
-    total, want = backend.total(ws), backend.scalar(g.weights[v])
-    ok = (total == want) if backend.is_exact else (
-        abs(float(total) - float(want)) <= backend.tol * max(1.0, float(want)))
-    if not ok:
-        raise AttackError(f"identity weights must sum to w_v = {g.weights[v]!r}")
 
     n = g.n
     copy_id = [v] + [n + i for i in range(m - 1)]
@@ -88,13 +101,22 @@ def split_multi(
         else:
             edges.append((a, b))
     new_weights = list(g.weights) + [backend.scalar(0)] * (m - 1)
-    for i, cid in enumerate(copy_id):
-        new_weights[cid] = ws[i]
+    new_weights[v] = backend.scalar(0)
     labels = list(g.labels) + [f"{g.labels[v]}^{i + 2}" for i in range(m - 1)]
-    g2 = WeightedGraph(n + m - 1, edges, new_weights, labels)
-    alloc = bd_allocation(g2, backend=backend)
-    utility = backend.total([alloc.utilities[cid] for cid in copy_id])
-    return MultiSplit(graph=g2, copies=tuple(copy_id), weights=tuple(ws), utility=utility)
+    return WeightedGraph(n + m - 1, edges, new_weights, labels), tuple(copy_id)
+
+
+def _identity_weights(
+    g: WeightedGraph, v: int, weights: Sequence[Scalar], backend: Backend
+) -> list[Scalar]:
+    """``weights`` as backend scalars, if they are non-negative and spend
+    exactly ``w_v``."""
+    ws = [backend.scalar(x) for x in weights]
+    if any(x < 0 for x in ws):
+        raise AttackError("identity weights must be non-negative")
+    if not budget_holds(backend.total(ws), backend.scalar(g.weights[v]), backend):
+        raise AttackError(f"identity weights must sum to w_v = {g.weights[v]!r}")
+    return ws
 
 
 def set_partitions(items: Sequence[int], m: int) -> Iterator[list[list[int]]]:
@@ -172,20 +194,29 @@ def best_multi_split(
     steps: int = 12,
     refine_rounds: int = 2,
     backend: Backend = FLOAT,
+    ctx: EngineContext | None = None,
 ) -> MultiBestResponse:
     """Search partitions x weight simplex for the best m-way attack.
 
     The simplex is scanned on a composition lattice (``steps`` divisions),
     then locally refined by halving the lattice around the incumbent.
     Exhaustive enough for the small-degree instances the ablation uses.
+
+    Each partition is one family of the shared
+    :class:`~repro.attack.evaluator.CandidateEvaluator` over the copies'
+    weights, with its split graph built once.  For ``m = 2`` the family
+    is one-parameter (copy 0's weight): the lattice is evaluated in
+    bracket-first order and bracketed candidates are reconstructed; for
+    ``m >= 3`` every candidate is a full solve warm-started from the
+    nearest solved one.  The optimum is still selected in lattice order.
     """
     if g.degree(v) < m:
         raise AttackError(f"vertex {v} has degree {g.degree(v)} < m = {m}")
     # Backend arithmetic keeps the lattice exact: on the Fraction backend
-    # `wv * k / steps` sums back to w_v identically, which split_multi's
-    # exact-equality budget check requires (float lattices don't).
+    # `wv * k / steps` sums back to w_v identically, which the exact-
+    # equality budget check requires (float lattices don't).
     wv = backend.scalar(g.weights[v])
-    honest = float(bd_allocation(g, backend=backend).utilities[v])
+    honest = float(bd_allocation(g, backend=backend, ctx=ctx).utilities[v])
     best = MultiBestResponse(
         vertex=v, m=m, groups=(), weights=(), utility=honest,
         honest_utility=honest, strategies_tried=0,
@@ -195,13 +226,22 @@ def best_multi_split(
     tried = 0
     for groups in set_partitions(sorted(g.neighbors(v)), m):
         tried += 1
+        base, copies = split_graph(g, v, groups, m, backend)
+        evaluator = CandidateEvaluator(base, copies, copies, backend, ctx)
 
         def U(ws: tuple[float, ...]) -> float:
-            return float(split_multi(g, v, groups, list(ws), backend).utility)
+            ws = _identity_weights(g, v, ws, backend)
+            at = float(ws[0]) if m == 2 else None
+            return float(backend.total(evaluator.utilities(ws, at=at)))
 
+        lattice = list(_simplex_grid(wv, m, steps))
+        order = (subdivision_order(len(lattice) - 1) if m == 2
+                 else range(len(lattice)))
+        vals = [0.0] * len(lattice)
+        for i in order:
+            vals[i] = U(lattice[i])
         inc_w, inc_val = None, -np.inf
-        for ws in _simplex_grid(wv, m, steps):
-            val = U(ws)
+        for ws, val in zip(lattice, vals):
             if val > inc_val:
                 inc_w, inc_val = ws, val
         # local refinement: shrink the lattice around the incumbent

@@ -23,9 +23,11 @@ from ..engine import EngineContext
 from ..exceptions import AttackError
 from ..graphs import WeightedGraph, cut_ring_at, ring_neighbors
 from ..numeric import Backend, FLOAT, Scalar
+from .evaluator import budget_holds
 
 __all__ = [
     "SplitOutcome",
+    "check_split_budget",
     "split_ring",
     "attacker_utility",
     "honest_split",
@@ -82,16 +84,9 @@ def split_ring(
     ``w1 + w2`` must equal ``w_v`` (the attacker cannot mint resource) and
     both parts must be non-negative.
     """
-    wv = g.weights[v]
     w1b = backend.scalar(w1)
     w2b = backend.scalar(w2)
-    if w1b < 0 or w2b < 0:
-        raise AttackError(f"split weights must be non-negative, got ({w1!r}, {w2!r})")
-    total = w1b + w2b
-    want = backend.scalar(wv)
-    ok = (total == want) if backend.is_exact else abs(float(total) - float(wv)) <= backend.tol * max(1.0, float(wv))
-    if not ok:
-        raise AttackError(f"split weights ({w1!r}, {w2!r}) do not sum to w_v = {wv!r}")
+    check_split_budget(g, v, w1b, w2b, backend)
     path, v1, v2 = cut_ring_at(g, v, w1b, w2b)
     decomp = bottleneck_decomposition(path, backend, ctx)
     alloc = bd_allocation(path, decomp, backend, ctx)
@@ -99,6 +94,19 @@ def split_ring(
         path=path, v1=v1, v2=v2, w1=w1b, w2=w2b,
         decomposition=decomp, allocation=alloc,
     )
+
+
+def check_split_budget(
+    g: WeightedGraph, v: int, w1: Scalar, w2: Scalar, backend: Backend = FLOAT
+) -> None:
+    """Raise :class:`AttackError` unless ``(w1, w2)`` splits ``w_v``: both
+    parts non-negative and summing to ``w_v`` (the attacker cannot mint
+    resource)."""
+    if w1 < 0 or w2 < 0:
+        raise AttackError(f"split weights must be non-negative, got ({w1!r}, {w2!r})")
+    if not budget_holds(w1 + w2, backend.scalar(g.weights[v]), backend):
+        raise AttackError(
+            f"split weights ({w1!r}, {w2!r}) do not sum to w_v = {g.weights[v]!r}")
 
 
 def attacker_utility(

@@ -39,7 +39,7 @@ from ..engine import EngineContext, resolve_context
 from ..exceptions import AllocationError, InfeasibleFlowError
 from ..flow import FlowNetwork, assert_valid_flow
 from ..graphs import WeightedGraph
-from ..numeric import Backend, FLOAT, Scalar
+from ..numeric import Backend, Scalar
 from .bottleneck import BottleneckDecomposition, bottleneck_decomposition
 
 __all__ = [

@@ -36,7 +36,7 @@ set of ``t``) the maximal minimizer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..engine import EngineContext, decomposition_key, instance_signature, resolve_context
 from ..exceptions import ConvergenceError, DecompositionError

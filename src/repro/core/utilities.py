@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..exceptions import DecompositionError
-from ..numeric import Backend, Scalar
+from ..numeric import Scalar
 from .bottleneck import BottleneckDecomposition
 
 __all__ = ["closed_form_utility", "closed_form_utilities"]

@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import (
-    bd_allocation,
     bottleneck_decomposition,
     closed_form_utilities,
     proportional_response,

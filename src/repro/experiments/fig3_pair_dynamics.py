@@ -17,9 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis import trace_report_sweep
-from ..core import bottleneck_decomposition
 from ..graphs import WeightedGraph, random_ring
-from ..numeric import FLOAT
 from ..theory import CheckResult, check_proposition12
 from .base import ExperimentOutput, Table, scale_factor
 

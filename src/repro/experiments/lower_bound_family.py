@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from ..attack import lower_bound_series
 from ..theory import CheckResult
-from .base import ExperimentOutput, Table, scale_factor
+from .base import ExperimentOutput, Table
 
 EXP_ID = "EXP-LB"
 TITLE = "Lower bound: zeta(H) -> 2 along the family [1, 1, 1/H, 1/H, H]"

@@ -16,7 +16,6 @@ import numpy as np
 from ..attack import lower_bound_ratio, search_worst_ring
 from ..engine import EngineContext
 from ..graphs import random_ring
-from ..numeric import FLOAT
 from ..theory import CheckResult
 from ..analysis import parallel_incentive_sweep, summarize
 from .base import ExperimentOutput, Table, experiment_context, scale_factor

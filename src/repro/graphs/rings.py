@@ -9,8 +9,6 @@ never re-derives adjacency by hand.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from ..exceptions import GraphError
 from .weighted_graph import WeightedGraph
 

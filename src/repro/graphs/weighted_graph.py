@@ -25,7 +25,21 @@ from typing import Iterable, Mapping, Sequence
 from ..exceptions import GraphError, InvalidWeightError
 from ..numeric import Backend, FLOAT, Scalar
 
-__all__ = ["WeightedGraph"]
+__all__ = ["WeightedGraph", "check_weight"]
+
+
+def check_weight(v: int, w: Scalar) -> None:
+    """Raise :class:`InvalidWeightError` unless ``w`` is a finite,
+    non-negative number -- the constructor's check on vertex ``v``'s
+    weight, also run on every weight swapped in after construction."""
+    try:
+        neg = w < 0
+    except TypeError as exc:  # e.g. None, str
+        raise InvalidWeightError(
+            f"weight of vertex {v} is not a number: {w!r}") from exc
+    if neg or (isinstance(w, float) and not math.isfinite(w)):
+        raise InvalidWeightError(
+            f"weight of vertex {v} must be finite and >= 0, got {w!r}")
 
 
 class WeightedGraph:
@@ -71,14 +85,7 @@ class WeightedGraph:
             raise GraphError(f"expected {n} weights, got {len(weights)}")
         if validate:
             for i, w in enumerate(weights):
-                try:
-                    neg = w < 0
-                except TypeError as exc:  # e.g. None, str
-                    raise InvalidWeightError(
-                        f"weight of vertex {i} is not a number: {w!r}") from exc
-                if neg or (isinstance(w, float) and not math.isfinite(w)):
-                    raise InvalidWeightError(
-                        f"weight of vertex {i} must be finite and >= 0, got {w!r}")
+                check_weight(i, w)
 
         edge_set: set[tuple[int, int]] = set()
         adj: list[list[int]] = [[] for _ in range(n)]

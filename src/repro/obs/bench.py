@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import json
 import platform
-import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 

@@ -21,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..attack import best_combined_split, best_multi_split, best_split
-from ..attack.misreport import report_weight, utility_of_report
+from ..attack.evaluator import CandidateEvaluator, subdivision_order
+from ..attack.misreport import report_weight, utility_curve
 from ..core import bd_allocation, warm_decomposition
 from ..engine import EngineContext
 from ..exceptions import SimError
@@ -88,22 +89,29 @@ def _eval_multi(g, v, grid, backend, ctx) -> tuple[float, float]:
     # still exercises the partition/simplex machinery end to end.
     m = min(2, g.degree(v))
     r = best_multi_split(g, v, m=m, steps=max(4, grid // 2),
-                         refine_rounds=2, backend=backend)
+                         refine_rounds=2, backend=backend, ctx=ctx)
     return float(r.utility), float(r.honest_utility)
 
 
 def _eval_misreport(g, v, grid, backend, ctx) -> tuple[float, float]:
+    """Lone misreport: the best of ``grid`` reports ``x = w_v t / grid``.
+
+    The reports are one family of :func:`repro.attack.utility_curve`
+    (base graph built once, bracketed reports reconstructed); the maximum
+    is still folded in report order.
+    """
     honest = _honest_utility(g, v, backend, ctx)
     wv = float(g.weights[v])
     best = honest  # x = w_v (truthful) is always in the feasible set
-    for t in range(grid):
-        x = wv * t / grid
-        best = max(best, float(utility_of_report(g, v, x, backend, ctx)))
+    xs = [wv * t / grid for t in range(grid)]
+    for u in utility_curve(g, v, xs, backend, ctx):
+        best = max(best, float(u))
     return best, honest
 
 
 def _eval_combined(g, v, grid, backend, ctx) -> tuple[float, float]:
-    r = best_combined_split(g, v, grid=min(grid, 16), refine=2, backend=backend)
+    r = best_combined_split(g, v, grid=min(grid, 16), refine=2,
+                            backend=backend, ctx=ctx)
     return float(r.utility), float(r.honest_utility)
 
 
@@ -115,6 +123,12 @@ def _eval_coalition(g, v, grid, backend, ctx,
     partner's post-attack utility is read through the cut's index map --
     the relabelled path has no vertex with the partner's original id
     pointing at the partner.
+
+    Each report ``x`` is one family in ``w1`` of a single
+    :class:`~repro.attack.evaluator.CandidateEvaluator`: its cut path is
+    built once, ``v^1``/``v^2`` move, and ``v^1``, ``v^2`` and the
+    partner's path id are watched.  The split lattice is evaluated in
+    bracket-first order and its maximum folded in lattice order.
     """
     if partner == v:
         raise SimError("coalition partner must differ from the splitter")
@@ -125,19 +139,27 @@ def _eval_coalition(g, v, grid, backend, ctx,
     wv = backend.scalar(g.weights[v])
     wp = backend.scalar(g.weights[partner])
     imap = cut_index_map(g, v)
+    # Clamped: in floats wv * i / grid can exceed wv by an ulp when grid
+    # is not a power of two, and w2 would go negative.
+    lattice = [min(wv * i / grid, wv) for i in range(grid + 1)]
+    evaluator = None
     best = honest
     x_steps = 4
     for t in range(1, x_steps + 1):
         x = wp * t / x_steps  # t == x_steps is the truthful report
-        reported = report_weight(g, partner, x, backend)
-        for i in range(grid + 1):
-            # Clamped: in floats wv * i / grid can exceed wv by an ulp
-            # when grid is not a power of two, and w2 would go negative.
-            w1 = min(wv * i / grid, wv)
-            p, v1, v2 = cut_ring_at(reported, v, w1, wv - w1)
-            a = bd_allocation(p, backend=backend, ctx=ctx)
-            joint = float(a.utilities[v1] + a.utilities[v2]
-                          + a.utilities[imap[partner]])
+        base, v1, v2 = cut_ring_at(report_weight(g, partner, x, backend), v,
+                                   wv, backend.scalar(0))
+        if evaluator is None:
+            evaluator = CandidateEvaluator(
+                base, (v1, v2), (v1, v2, imap[partner]), backend, ctx)
+        else:
+            evaluator.new_family(base)
+        joints = [0.0] * (grid + 1)
+        for i in subdivision_order(grid):
+            w1 = lattice[i]
+            u1, u2, up = evaluator.utilities((w1, wv - w1), at=float(w1))
+            joints[i] = float(u1 + u2 + up)
+        for joint in joints:
             if joint > best:
                 best = joint
     return best, honest

@@ -18,7 +18,7 @@ construction; :mod:`repro.sim.schedule` derives the churn stream and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 from ..exceptions import SimError
 

@@ -17,7 +17,7 @@ requested width.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from ..core import BottleneckDecomposition, bottleneck_decomposition
 from ..graphs import WeightedGraph

@@ -10,17 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 from ..core import (
-    bd_allocation,
     bottleneck_decomposition,
     closed_form_utilities,
     proportional_response,
 )
 from ..graphs import WeightedGraph
 from ..numeric import Backend, EXACT, FLOAT, Scalar
-from .breakpoints import Regime, regimes_of_report
+from .breakpoints import regimes_of_report
 
 __all__ = [
     "CheckResult",

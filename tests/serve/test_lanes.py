@@ -78,16 +78,20 @@ def test_idle_shard_answers_while_the_other_shard_solves():
 
 
 def test_misses_queued_behind_a_busy_lane_leave_together():
-    """Every map's first cell sleeps 0.3 s; misses sent during the first
+    """Every map's first cell sleeps 2 s; misses sent during the first
     map all leave in the second."""
     graphs = [_ring(4 + i, seed=10 + i) for i in range(4)]
     box: dict = {}
-    with serving(shards=1, faults="cell:delay@0:0.3") as handle:
+    with serving(shards=1, faults="cell:delay@0:2") as handle:
         counters = handle.server.ctx.counters
         threads = [_solve_in_thread(handle.port, graphs[0], box, 0)]
         _wait_until(lambda: counters.serve_batches == 1)
         threads += [_solve_in_thread(handle.port, g, box, i)
                     for i, g in enumerate(graphs[1:], start=1)]
+        # The precondition, checked instead of raced: all three follow-up
+        # misses are queued while the first map still sleeps.
+        _wait_until(lambda: counters.serve_cache_misses == 4)
+        assert counters.serve_batches == 1
         for t in threads:
             t.join(timeout=60)
         batches = counters.serve_batches

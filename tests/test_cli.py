@@ -60,6 +60,9 @@ def test_sim_stats_keeps_namespaced_span_names(capsys):
                      "--stats"]) == 0
     line = capsys.readouterr().out.strip().splitlines()[-1]
     assert "sim/attacks=" in line and "decompose=" in line
+    # EXP-S1's best responses reconstruct bracketed candidates, and that
+    # time has its own span instead of hiding in best_response's self time.
+    assert "reconstruct=" in line
 
 
 def test_parsers_reject_retired_flags():
