@@ -1,6 +1,5 @@
-"""Sweeps, instrumentation, and summary statistics for experiments."""
+"""Incentive sweeps, instrumentation, and summary statistics for experiments."""
 
-from .sweep import SweepCell, SweepResult, cell_rng, run_sweep
 from .stats import Summary, censored_max, geometric_mean, summarize
 from .instrumentation import PairEvent, SweepTrace, trace_report_sweep
 from .parallel import parallel_incentive_sweep, sweep_fingerprint
@@ -12,10 +11,6 @@ from .spectral import (
 )
 
 __all__ = [
-    "SweepCell",
-    "SweepResult",
-    "cell_rng",
-    "run_sweep",
     "Summary",
     "censored_max",
     "geometric_mean",

@@ -56,7 +56,7 @@ def scoped_rng(seed: int, epoch: int = 0, agent: int = 0) -> np.random.Generator
     halving the explored instance space.  Deriving the stream through a
     ``SeedSequence`` over the full scope makes every (epoch, agent) cell
     statistically independent while staying a pure function of the scope,
-    the same per-cell discipline as :func:`repro.analysis.sweep.cell_rng`.
+    the same per-cell discipline as :func:`repro.sim.schedule.sim_rng`.
     """
     return np.random.default_rng(
         np.random.SeedSequence([int(seed), int(epoch), int(agent)])

@@ -124,7 +124,6 @@ def _accumulate_pair(
     pair,
     x: dict[tuple[int, int], Scalar],
     backend: Backend,
-    zero_tol: float,
     ctx: EngineContext,
 ) -> None:
     """Solve one pair's Definition-5 network and fold its edges into ``x``.
@@ -146,7 +145,7 @@ def _accumulate_pair(
         members = sorted(pair.B)
         caps = [backend.scalar(g.weights[v]) for v in members]
         net, arc_of = _pair_network(g, members, members, caps, backend, ctx)
-        _solve_and_check(net, g, members, members, caps, backend, zero_tol,
+        _solve_and_check(net, g, members, members, caps, backend,
                          pair.index, ctx=ctx)
         two = backend.scalar(2)
         for (u, v), arc in arc_of.items():
@@ -163,7 +162,7 @@ def _accumulate_pair(
         caps = [backend.scalar(g.weights[v]) / alpha for v in C]
     net, arc_of = _pair_network(g, B, C, caps, backend, ctx)
     _solve_and_check(
-        net, g, B, C, caps, backend, zero_tol, pair.index,
+        net, g, B, C, caps, backend, pair.index,
         check_sink=not backend.is_zero(alpha), ctx=ctx,
     )
     for (u, v), arc in arc_of.items():
@@ -191,15 +190,13 @@ def bd_allocation(
     if decomp is None:
         decomp = bottleneck_decomposition(g, backend, ctx)
     x: dict[tuple[int, int], Scalar] = {}
-    # Zero flow tolerance even for floats (see bottleneck._maximal_minimizer:
-    # the solvers saturate arcs exactly); the backend tol only enters the
-    # final saturation comparison.
-    zero_tol = ctx.zero_tol
-
+    # Max flow runs at zero tolerance even for floats (see
+    # bottleneck._maximal_minimizer: the solvers saturate arcs exactly);
+    # the backend tol only enters the final saturation comparison.
     ctx.counters.allocations += 1
     with ctx.span("allocate"):
         for pair in decomp.pairs:
-            _accumulate_pair(g, pair, x, backend, zero_tol, ctx)
+            _accumulate_pair(g, pair, x, backend, ctx)
 
         utilities = []
         for v in g.vertices():
@@ -238,7 +235,6 @@ def endpoint_utilities(
     """
     ctx = resolve_context(ctx)
     backend = ctx.resolve_backend(backend)
-    zero_tol = ctx.zero_tol
     needed = []
     seen: set[int] = set()
     for v in vertices:
@@ -252,7 +248,7 @@ def endpoint_utilities(
     ctx.counters.allocations += 1
     with ctx.span("allocate"):
         for pair in needed:
-            _accumulate_pair(g, pair, x, backend, zero_tol, ctx)
+            _accumulate_pair(g, pair, x, backend, ctx)
         utilities = []
         for v in vertices:
             total = backend.scalar(0)
@@ -300,7 +296,6 @@ def certified_endpoint_utilities(
     """
     ctx = resolve_context(ctx)
     backend = ctx.resolve_backend(backend)
-    zero_tol = ctx.zero_tol
     touched = set(vertices)
     x: dict[tuple[int, int], Scalar] = {}
     ctx.counters.allocations += 1
@@ -314,7 +309,7 @@ def certified_endpoint_utilities(
             )
             if unchanged:
                 continue
-            _accumulate_pair(g, pair, x, backend, zero_tol, ctx)
+            _accumulate_pair(g, pair, x, backend, ctx)
         utilities = []
         for v in vertices:
             total = backend.scalar(0)
@@ -335,7 +330,6 @@ def _solve_and_check(
     C: list[int],
     sink_caps: list,
     backend: Backend,
-    zero_tol: float,
     pair_index: int,
     check_sink: bool = True,
     ctx: EngineContext | None = None,
@@ -346,7 +340,7 @@ def _solve_and_check(
     state the solve leaves behind.
     """
     ctx = resolve_context(ctx)
-    value = ctx.max_flow(net, 0, 1, zero_tol=zero_tol)
+    value = ctx.max_flow(net, 0, 1)
     # Verification tolerance: reverse-arc flow accumulation can overshoot the
     # forward capacity by a few ulps when flow arrives over several paths.
     if backend.is_exact:

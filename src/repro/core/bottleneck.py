@@ -201,8 +201,8 @@ def _maximal_minimizer(
     # so termination does not need a tolerance -- while any positive
     # tolerance would swallow genuinely tiny capacities (instances here span
     # 12+ orders of magnitude) and corrupt the extracted cut.
-    ctx.max_flow(net, s, t, zero_tol=ctx.zero_tol)
-    side = max_source_side(net, t, zero_tol=ctx.zero_tol)
+    ctx.max_flow(net, s, t)
+    side = max_source_side(net, t)
     return {verts[i] for i in range(nh) if 2 + i in side}
 
 

@@ -12,6 +12,7 @@ from .context import (
     ENGINE_NAME,
     NULL_SPAN,
     SOLVER_NAME,
+    ZERO_TOL,
     EngineContext,
     EngineSpec,
     default_context,
@@ -37,4 +38,5 @@ __all__ = [
     "using_context",
     "ENGINE_NAME",
     "SOLVER_NAME",
+    "ZERO_TOL",
 ]

@@ -1,7 +1,7 @@
 """The engine context: one explicit object for cross-cutting configuration.
 
-Numeric backend, flow zero-tolerance, worker count, the decomposition
-cache, and the work counters used to travel through the library ad hoc.
+Numeric backend, worker count, the decomposition cache, and the work
+counters used to travel through the library ad hoc.
 :class:`EngineContext` bundles them; every layer from ``core`` up through
 the CLI takes an optional ``ctx`` and falls back to a shared module-level
 default, so existing call sites keep today's behavior bit-for-bit while a
@@ -41,6 +41,7 @@ __all__ = [
     "NULL_SPAN",
     "ENGINE_NAME",
     "SOLVER_NAME",
+    "ZERO_TOL",
     "default_context",
     "resolve_context",
     "using_context",
@@ -58,6 +59,14 @@ SOLVER_NAME = "dinic"
 #: checkpoints, journals and snapshots written while a second engine was
 #: selectable still load.
 ENGINE_NAME = "columnar"
+
+#: The engine's residual zero-tolerance for max flow, as on-disk state
+#: spells it.  Exactly zero is load-bearing (see ``core.bottleneck``):
+#: Dinic saturates arcs exactly even in floats, and a positive tolerance
+#: would swallow genuinely tiny capacities.  Fingerprints and corpus
+#: record contexts carry it, so state written while it was a context
+#: field still loads.
+ZERO_TOL = 0.0
 
 #: Process-global fault-injection hook on the flow boundary, installed by
 #: :mod:`repro.runtime.faults` (``None`` = zero overhead beyond one load).
@@ -117,7 +126,6 @@ class EngineSpec:
     """
 
     backend: Backend = FLOAT
-    zero_tol: float = 0.0
     cache_size: int = DEFAULT_CACHE_SIZE
     workers: int = 0
     audit: str = "off"
@@ -125,15 +133,14 @@ class EngineSpec:
     trace: bool = False
     #: Free-form discriminator, not part of the built context.  Two specs
     #: that differ only in ``tag`` build identical contexts but memoize
-    #: *separately* in worker processes (``_context_for`` keys on the whole
-    #: spec) -- the serving layer tags one spec per shard so concurrent
+    #: *separately* in worker processes (``runtime.worker_context`` keys
+    #: on the whole spec) -- the serving layer tags one spec per shard so concurrent
     #: shard dispatches never share a metrics-drain source.
     tag: str = ""
 
     def build(self) -> "EngineContext":
         ctx = EngineContext(
             backend=self.backend,
-            zero_tol=self.zero_tol,
             cache_size=self.cache_size,
             workers=self.workers,
         )
@@ -165,11 +172,6 @@ class EngineContext:
     backend:
         Default numeric backend for call sites that do not pass one
         explicitly.
-    zero_tol:
-        Residual zero-tolerance handed to the max-flow solver.  The default 0.0
-        is load-bearing (see ``core.bottleneck``): Dinic saturates arcs
-        exactly even in floats, and a positive tolerance would swallow
-        genuinely tiny capacities.
     cache_size:
         LRU capacity of the decomposition cache; ``0`` disables caching.
     workers:
@@ -177,7 +179,6 @@ class EngineContext:
     """
 
     backend: Backend = FLOAT
-    zero_tol: float = 0.0
     cache_size: int = DEFAULT_CACHE_SIZE
     workers: int = 0
     cache: DecompositionCache = field(default=None, repr=False)  # type: ignore[assignment]
@@ -219,18 +220,18 @@ class EngineContext:
         net: FlowNetwork,
         s: int,
         t: int,
-        zero_tol: float | None = None,
+        zero_tol: float = ZERO_TOL,
     ):
         """Solve ``net`` with Dinic; returns the flow value.
 
         The residual state left in ``net`` is a genuine max *flow*
         (conservation at every node), so callers may read min cuts and
-        per-arc amounts off it.
+        per-arc amounts off it.  ``zero_tol`` is for replaying a recorded
+        flow solve; the engine itself always solves at :data:`ZERO_TOL`.
         """
         self.counters.flow_calls += 1
-        tol = self.zero_tol if zero_tol is None else zero_tol
         with self.span("flow"):
-            value = dinic_max_flow(net, s, t, tol)
+            value = dinic_max_flow(net, s, t, zero_tol)
         if _FLOW_FAULT_HOOK is not None:
             value = _FLOW_FAULT_HOOK(value)
         # Graceful-degradation boundary: every solve's value must be finite
@@ -245,7 +246,7 @@ class EngineContext:
                 f"the instance needs the exact backend"
             )
         if self.auditor is not None:
-            self.auditor.on_flow(self, net, s, t, value, tol)
+            self.auditor.on_flow(self, net, s, t, value, zero_tol)
         return value
 
     # -- tracing -----------------------------------------------------------
@@ -345,7 +346,6 @@ class EngineContext:
         """Configuration-only snapshot (see :class:`EngineSpec`)."""
         return EngineSpec(
             backend=self.backend,
-            zero_tol=self.zero_tol,
             cache_size=self.cache.maxsize,
             workers=self.workers,
             audit=getattr(self.auditor, "level_name", "off") if self.auditor else "off",

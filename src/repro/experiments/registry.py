@@ -16,7 +16,7 @@ import inspect
 import time
 from typing import Callable, Optional
 
-from ..engine import SOLVER_NAME, EngineContext
+from ..engine import SOLVER_NAME, ZERO_TOL, EngineContext
 from ..exceptions import ExperimentError, is_retryable
 from ..runtime import fire_site, open_journal, resolve_policy
 from .base import ExperimentOutput, decode_output, encode_output
@@ -76,7 +76,7 @@ def _suite_fingerprint(seed: int, scale: str, ctx: Optional[EngineContext]) -> s
     that determines experiment outputs (seed, scale, engine config)."""
     engine = ()
     if ctx is not None:
-        engine = (SOLVER_NAME, ctx.backend.name, repr(ctx.zero_tol))
+        engine = (SOLVER_NAME, ctx.backend.name, repr(ZERO_TOL))
     return hashlib.sha256(repr((seed, scale, engine)).encode()).hexdigest()[:16]
 
 

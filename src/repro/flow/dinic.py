@@ -116,8 +116,3 @@ def dinic_max_flow(net: FlowNetwork, s: int, t: int, zero_tol: float = 0.0):
                 return 0.0
         return 0
     return total
-
-
-def _tail(net: FlowNetwork, arc: int) -> int:
-    """Tail of an arc = head of its paired reverse arc."""
-    return net.head[arc ^ 1]

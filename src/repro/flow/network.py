@@ -16,7 +16,6 @@ float residuals below tolerance count as saturated.
 from __future__ import annotations
 
 import math
-from typing import Iterator
 
 from ..exceptions import FlowError, NumericalInstabilityError
 
@@ -97,9 +96,6 @@ class FlowNetwork:
 
     def residual(self, arc: int):
         return self.cap[arc]
-
-    def arcs_from(self, u: int) -> Iterator[int]:
-        return iter(self.adj[u])
 
     def push(self, arc: int, amount) -> None:
         """Route ``amount`` along ``arc`` (residuals updated both ways)."""

@@ -27,7 +27,6 @@ from .rings import (
     path_endpoints,
     cut_index_map,
     cut_ring_at,
-    honest_ids_after_cut,
 )
 from .validation import (
     check_no_isolated,
@@ -60,7 +59,6 @@ __all__ = [
     "path_endpoints",
     "cut_index_map",
     "cut_ring_at",
-    "honest_ids_after_cut",
     "require_positive_weights",
     "require_finite_weights",
     "require_ring",

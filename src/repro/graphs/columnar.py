@@ -179,10 +179,6 @@ class ColumnarGraph:
             + repr(self.labels).encode()
         )
 
-    def signature_bytes(self) -> bytes:
-        """Full instance signature: structure + canonical weight bytes."""
-        return self.structure_bytes() + b"#" + weight_bytes(self.weights)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ColumnarGraph(n={self.n}, m={len(self.indices) // 2})"
 

@@ -19,7 +19,6 @@ __all__ = [
     "path_endpoints",
     "cut_ring_at",
     "cut_index_map",
-    "honest_ids_after_cut",
 ]
 
 
@@ -141,9 +140,3 @@ def cut_index_map(g: WeightedGraph, v: int) -> dict[int, int]:
     if order[1] != u_a:
         order = [v] + order[1:][::-1]
     return {u: i for i, u in enumerate(order[1:], start=1)}
-
-
-def honest_ids_after_cut(n: int) -> list[int]:
-    """Ids of the non-manipulative vertices on the path from
-    :func:`cut_ring_at` applied to a ring of ``n`` vertices."""
-    return list(range(1, n))

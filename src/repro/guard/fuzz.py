@@ -34,7 +34,7 @@ from fractions import Fraction
 from random import Random
 from typing import Any, Callable, Optional
 
-from ..engine import SOLVER_NAME, EngineContext
+from ..engine import SOLVER_NAME, ZERO_TOL, EngineContext
 from ..exceptions import ReproError
 from ..graphs import WeightedGraph
 from ..io.serialization import graph_from_dict, graph_to_dict
@@ -416,7 +416,7 @@ def _file_survivor(payload: dict, outcome: FuzzOutcome, ctx: EngineContext,
         context={
             "solver": SOLVER_NAME,
             "backend": backend_to_dict(ctx.backend),
-            "zero_tol": ctx.zero_tol,
+            "zero_tol": ZERO_TOL,
             "level": level,
         },
         payload={"graph": shrunk, "grid": grid},

@@ -42,28 +42,12 @@ def scalar_to_json(w: Scalar) -> Any:
     return w  # int
 
 
-_scalar_to_json = scalar_to_json
-
-
-def _scalar_from_json(obj: Any) -> Scalar:
-    """Decode one exact-serialized scalar, boundary-validated.
-
-    Delegates to :func:`repro.guard.scalar_from_json`: non-finite,
-    negative, and non-numeric encodings (including zero-denominator and
-    malformed ``"p/q"`` strings) raise a typed
-    :class:`~repro.exceptions.MalformedInputError` here at the boundary
-    instead of constructing an invalid instance that fails deep inside the
-    decomposition.
-    """
-    return scalar_from_json(obj)
-
-
 def graph_to_dict(g: WeightedGraph) -> dict:
     """Structured representation of a graph (edges, weights, labels)."""
     return {
         "n": g.n,
         "edges": [list(e) for e in g.edges],
-        "weights": [_scalar_to_json(w) for w in g.weights],
+        "weights": [scalar_to_json(w) for w in g.weights],
         "labels": list(g.labels),
     }
 
@@ -91,7 +75,7 @@ def network_to_dict(net: FlowNetwork) -> dict:
     """
     arcs = []
     for arc in range(0, net.num_arcs, 2):
-        arcs.append([net.head[arc ^ 1], net.head[arc], _scalar_to_json(net.orig_cap[arc])])
+        arcs.append([net.head[arc ^ 1], net.head[arc], scalar_to_json(net.orig_cap[arc])])
     return {"n": net.n, "arcs": arcs}
 
 

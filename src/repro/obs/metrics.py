@@ -5,7 +5,7 @@ The library already accumulates three integer counter families on one
 recoveries) plus span statistics -- the one record of wall time -- on an
 optional tracer.  What was missing is the *cross-process* half of the
 story: contexts rebuilt inside worker processes
-(:func:`repro.analysis.parallel._context_for`) did all the work of a
+(:func:`repro.runtime.worker_context`) did all the work of a
 parallel sweep, and their counters died with the worker -- ``--stats``
 silently reported near-zero totals for any run with ``--workers N``.
 
@@ -42,7 +42,6 @@ from typing import Optional
 
 __all__ = [
     "register_worker_context",
-    "registered_worker_contexts",
     "begin_metrics_session",
     "end_metrics_session",
     "drain_worker_metrics",
@@ -88,11 +87,6 @@ def register_worker_context(ctx) -> None:
         if any(src is ctx for src in _SOURCES):
             return
         _SOURCES.append(ctx)
-
-
-def registered_worker_contexts() -> tuple:
-    """The registered sources (test/debug introspection)."""
-    return tuple(_SOURCES)
 
 
 def diff_counter_snapshots(cur: dict, last: Optional[dict]) -> dict:

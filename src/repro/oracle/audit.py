@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-from ..engine.context import SOLVER_NAME, EngineContext
+from ..engine.context import SOLVER_NAME, ZERO_TOL, EngineContext
 from ..exceptions import AuditError, EngineError
 from ..flow.network import FlowNetwork
 from ..graphs import WeightedGraph
@@ -244,7 +244,7 @@ class Auditor:
                     "backend": backend_to_dict(
                         backend if backend is not None else ctx.backend
                     ),
-                    "zero_tol": ctx.zero_tol,
+                    "zero_tol": ZERO_TOL,
                     "level": self.config.level,
                 },
                 payload=payload,

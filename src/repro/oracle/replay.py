@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..engine import SOLVER_NAME, EngineContext
+from ..engine import SOLVER_NAME, ZERO_TOL, EngineContext
 from ..exceptions import (
     ConvergenceError,
     CorpusError,
@@ -59,9 +59,12 @@ def _context(rec: FailureRecord) -> EngineContext:
     if solver != SOLVER_NAME:
         raise CorpusError(
             f"record needs solver {solver!r}; only {SOLVER_NAME!r} exists")
+    zero_tol = rec.context.get("zero_tol", ZERO_TOL)
+    if zero_tol != ZERO_TOL:
+        raise CorpusError(
+            f"record needs zero_tol {zero_tol!r}; the engine's is {ZERO_TOL!r}")
     return EngineContext(
         backend=backend_from_dict(rec.context.get("backend", {"tol": 0.0})),
-        zero_tol=rec.context.get("zero_tol", 0.0),
         cache_size=0,
     )
 
@@ -106,7 +109,7 @@ def replay_record(rec: FailureRecord) -> ReplayResult:
 def _replay_flow(rec: FailureRecord, ctx: EngineContext, differential: bool) -> list[str]:
     p = rec.payload
     net = network_from_dict(p["network"])
-    s, t, zero_tol = p["s"], p["t"], p.get("zero_tol", ctx.zero_tol)
+    s, t, zero_tol = p["s"], p["t"], p.get("zero_tol", ZERO_TOL)
     value = ctx.max_flow(net, s, t, zero_tol=zero_tol)
     problems = flow_certificate_problems(net, s, t, value, zero_tol)
     if differential:

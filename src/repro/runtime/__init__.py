@@ -6,13 +6,15 @@ bit-identical determinism contract while surviving the failures long runs
 actually hit: hung solver iterations, OOM-killed workers, transient
 numeric breakdown, and operator kills mid-sweep.
 
-Four cooperating pieces:
+Five cooperating pieces:
 
 * :class:`RuntimePolicy` (:mod:`repro.runtime.policy`) -- the frozen knob
-  set (timeout, retries, backoff, checkpoint, fault spec, rlimits)
-  that travels from the CLI onto ``EngineContext.runtime`` and down into
-  the sweep layer.  The default policy is inert: nothing changes until a
-  knob is turned.
+  set (timeout, retries, backoff, fault spec, rlimits) that travels from
+  the CLI onto ``EngineContext.runtime`` and down into the cell runner.
+  The default policy is inert: nothing changes until a knob is turned.
+* :func:`run_cells` (:mod:`repro.runtime.cells`) -- the one cell runner
+  behind the sweep, the simulator and the server's shard dispatch: serial
+  on the caller's context, or supervised on per-process worker contexts.
 * :func:`supervised_map` (:mod:`repro.runtime.supervisor`) -- the
   order-preserving map that imposes per-cell wall-clock budgets, respawns
   dead workers, retries retryable failures with capped exponential
@@ -57,6 +59,7 @@ from .supervisor import (
     supervised_map,
     supervised_map_async,
 )
+from .cells import run_cells, spec_cell, spec_cell_exact, worker_context
 
 __all__ = [
     "RuntimePolicy",
@@ -65,6 +68,10 @@ __all__ = [
     "supervised_map_async",
     "run_cell",
     "WorkerPool",
+    "run_cells",
+    "spec_cell",
+    "spec_cell_exact",
+    "worker_context",
     "CheckpointJournal",
     "open_journal",
     "encode_value",

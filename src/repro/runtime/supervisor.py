@@ -91,9 +91,14 @@ __all__ = ["WorkerPool", "supervised_map", "supervised_map_async", "run_cell"]
 T = TypeVar("T")
 R = TypeVar("R")
 
+#: Consecutive worker deaths without a single completed cell before the
+#: supervisor declares the pool unrecoverable and degrades to serial
+#: in-process execution.
+MAX_POOL_FAILURES = 3
+
 
 # ---------------------------------------------------------------------------
-# guarded single-cell execution (shared by the serial path and degradation)
+# guarded single-cell execution (the serial and degraded path)
 # ---------------------------------------------------------------------------
 
 def run_cell(
@@ -111,8 +116,8 @@ def run_cell(
     The serial twin of what the parallel supervisor does per cell: fire
     any index-matched faults (serially simulated), retry retryable
     failures with backoff, escalate deterministic numeric failures to
-    ``escalate_fn`` once retries are exhausted, and wrap permanent
-    failures in :class:`~repro.exceptions.CellFailedError`.
+    ``escalate_fn`` (when given) once retries are exhausted, and wrap
+    permanent failures in :class:`~repro.exceptions.CellFailedError`.
 
     ``deadline`` is an absolute ``time.monotonic()`` point past which the
     retry ladder must not continue: an attempt is not *started* (and a
@@ -143,7 +148,7 @@ def run_cell(
             if not is_retryable(exc):
                 raise
             if attempt >= policy.retries:
-                if policy.escalate and escalate_fn is not None and is_escalatable(exc):
+                if escalate_fn is not None and is_escalatable(exc):
                     counters.precision_escalations += 1
                     return escalate_fn(item)
                 raise CellFailedError(index, exc) from exc
@@ -436,11 +441,13 @@ class WorkerPool:
 # ---------------------------------------------------------------------------
 
 class _Supervisor:
-    """State of one supervised parallel map, as non-blocking steps around
-    one wait.
+    """State of one supervised map, as non-blocking steps around one wait.
 
     :meth:`_queue` seeds the results from the journal and queues the
-    rest; :meth:`_arm` arms the pool for the map.  Each round then runs
+    rest.  A serial map (:meth:`run_serial`) then degrades at once: every
+    queued cell runs in this process, through the same loop that finishes
+    a parallel map whose pool is unrecoverable.  Otherwise :meth:`_arm`
+    arms the pool for the map.  Each round then runs
     :meth:`_step_in_process` (whatever must solve in this process: queued
     escalations, then degradation once it is due), hands ready cells to
     idle workers (:meth:`_assign_ready_work`), waits on what
@@ -566,8 +573,7 @@ class _Supervisor:
         if not is_retryable(exc):
             raise exc
         if attempt >= self.policy.retries:
-            if (self.policy.escalate and self.escalate_fn is not None
-                    and is_escalatable(exc)):
+            if self.escalate_fn is not None and is_escalatable(exc):
                 self.counters.precision_escalations += 1
                 self.escalations.append(idx)
                 return
@@ -590,7 +596,7 @@ class _Supervisor:
         self._respawn()
 
     def _pool_unrecoverable(self) -> bool:
-        return self._deaths_since_progress > self.policy.max_pool_failures
+        return self._deaths_since_progress > MAX_POOL_FAILURES
 
     # -- in-process work ----------------------------------------------------
     def _step_in_process(self) -> bool:
@@ -601,20 +607,20 @@ class _Supervisor:
             idx = self.escalations.popleft()
             self._complete(idx, self.escalate_fn(self.items[idx]))
         if self._degrade_due:
-            self._degrade_to_serial()
+            self._degrade_to_serial(current_injector())
         return len(self.results) == len(self.items) or self._degraded
 
-    def _degrade_to_serial(self) -> None:
-        """Pool is unrecoverable: finish every outstanding cell in-process."""
+    def _degrade_to_serial(self, injector) -> None:
+        """Finish every outstanding cell in-process, in submission order,
+        under ``injector``: the pool is unrecoverable, or the map is
+        serial and never had one."""
         self._degraded = True
-        for wid in list(self.workers):
-            self._kill_worker(wid)
-        outstanding = sorted(
-            set(range(len(self.items)))
-            - set(self.results)
-        )
-        injector = current_injector()
-        for idx in outstanding:
+        if self.pool is not None:
+            for wid in list(self.workers):
+                self._kill_worker(wid)
+        for idx in range(len(self.items)):
+            if idx in self.results:
+                continue
             try:
                 value = run_cell(
                     self.fn, self.items[idx], idx, self.policy, self.counters,
@@ -629,6 +635,13 @@ class _Supervisor:
         self.inflight.clear()
 
     # -- drivers ------------------------------------------------------------
+    def run_serial(self, injector) -> list:
+        """The serial driver: the supervisor degraded from the start, so
+        no pool is ever built."""
+        self._queue()
+        self._degrade_to_serial(injector)
+        return self._ordered()
+
     def run(self) -> list:
         """The blocking driver (the sweep path)."""
         if self._queue():
@@ -676,8 +689,8 @@ class _Supervisor:
         return [self.results[i] for i in range(len(self.items))]
 
     def _queue(self) -> bool:
-        """Seed from the checkpoint journal, queue every other cell, and
-        make sure there is a pool; ``False`` when nothing is left to run."""
+        """Seed from the checkpoint journal and queue every other cell;
+        ``False`` when nothing is left to run."""
         n = len(self.items)
         if self.journal is not None:
             for idx in range(n):
@@ -688,15 +701,14 @@ class _Supervisor:
         for idx in range(n):
             if idx not in self.results:
                 self.pending.append((0.0, idx, 0))
-        if not self.pending:
-            return False
-        if self.pool is None:
-            self.pool = WorkerPool(max(1, min(self.processes, len(self.pending))))
-        return True
+        return bool(self.pending)
 
     def _arm(self) -> None:
-        """Arm the pool's workers for this map and start missing ones;
-        degradation is due at once if not a single worker runs."""
+        """Arm the pool's workers for this map (building a transient pool
+        first if none was lent) and start missing ones; degradation is
+        due at once if not a single worker runs."""
+        if self.pool is None:
+            self.pool = WorkerPool(max(1, min(self.processes, len(self.pending))))
         # In an opened pool, every worker started now replaces one that
         # died or was killed since the last map.
         replacing = self.pool.opened
@@ -973,6 +985,10 @@ def supervised_map(
         # (setrlimit is process-wide, so it must never touch the host):
         # honor the envelope even for one cell.
         serial_single = len(items) <= 1 and envelope_from_policy(policy) is None
+        sup = _Supervisor(fn, items, processes, policy, counters,
+                          escalate_fn, journal, key_fn, tracer=tracer,
+                          deadlines=deadlines, on_deadline=on_deadline,
+                          pool=pool, timings=timings)
         if pool is None and (processes <= 0 or serial_single):
             # An explicitly installed injector wins (the CLI's global
             # --inject-faults path); otherwise honor policy.faults with a
@@ -983,35 +999,7 @@ def supervised_map(
             if injector is None and policy.faults:
                 injector = FaultInjector(
                     parse_fault_spec(policy.faults), counters=counters)
-            out: list = []
-            for idx, item in enumerate(items):
-                if journal is not None:
-                    key = key_fn(idx)
-                    if key in journal:
-                        counters.checkpoint_hits += 1
-                        out.append(journal.get(key))
-                        continue
-                try:
-                    value = run_cell(fn, item, idx, policy, counters,
-                                     escalate_fn=escalate_fn,
-                                     injector=injector,
-                                     deadline=(deadlines[idx]
-                                               if deadlines else None))
-                except DeadlineExceededError:
-                    counters.cell_deadline_expired += 1
-                    if on_deadline is None:
-                        raise
-                    out.append(on_deadline(item))
-                    continue
-                if journal is not None:
-                    journal.record(key_fn(idx), value)
-                out.append(value)
-            return out
-
-        sup = _Supervisor(fn, items, processes, policy, counters,
-                          escalate_fn, journal, key_fn, tracer=tracer,
-                          deadlines=deadlines, on_deadline=on_deadline,
-                          pool=pool, timings=timings)
+            return sup.run_serial(injector)
         return sup.run()
     finally:
         _end_map(counters, tracer)

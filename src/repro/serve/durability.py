@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from ..engine import ENGINE_NAME, SOLVER_NAME, EngineSpec
+from ..engine import ENGINE_NAME, SOLVER_NAME, ZERO_TOL, EngineSpec
 from ..exceptions import CheckpointError, DurabilityError, MalformedInputError
 from ..runtime.checkpoint import read_journal
 
@@ -101,7 +101,7 @@ def durability_fingerprint(spec: EngineSpec) -> str:
         "durability_format": DURABILITY_FORMAT,
         "solver": SOLVER_NAME,
         "backend": spec.backend.name,
-        "zero_tol": spec.zero_tol,
+        "zero_tol": ZERO_TOL,
         "engine": ENGINE_NAME,
     }, sort_keys=True, separators=(",", ":"))
 

@@ -91,15 +91,11 @@ from ..obs.tracer import Tracer
 from ..runtime import (
     RuntimePolicy,
     WorkerPool,
+    spec_cell,
+    spec_cell_exact,
     supervised_map,
     supervised_map_async,
 )
-
-# Imported for its side effect: forked shard workers resolve
-# repro.analysis.parallel._context_for on their first cell, and loading it
-# *before* any fork keeps children out of the import machinery (a child
-# forked while another thread holds an import lock would deadlock there).
-from ..analysis import parallel as _parallel  # noqa: F401
 from .cache import ResponseCache
 from .durability import (
     DurabilityConfig,
@@ -132,7 +128,6 @@ from .solver import (
     decode_request,
     map_result,
     solve_cell,
-    solve_cell_exact,
 )
 
 __all__ = ["AllocationServer", "ServeConfig", "ServeHandle", "start_in_thread"]
@@ -923,11 +918,12 @@ class AllocationServer:
         timings: dict = {}
         pool = (self._pools[sid] if self._pools and mode != MODE_SERIAL
                 else None)
-        items = [(self.shard_specs[sid], cell.canon_dict) for cell in cells]
+        spec = self.shard_specs[sid]
+        items = [(solve_cell, (cell.canon_dict,), spec) for cell in cells]
         kwargs = dict(
             policy=self.policy,
             counters=counters,
-            escalate_fn=solve_cell_exact,
+            escalate_fn=spec_cell_exact,
             tracer=tracer,
             budgets=(None if all(b is None for b in budgets) else budgets),
             on_deadline=deadline_marker,
@@ -937,10 +933,10 @@ class AllocationServer:
         try:
             if pool is None:
                 results = await asyncio.get_running_loop().run_in_executor(
-                    None, functools.partial(supervised_map, solve_cell,
+                    None, functools.partial(supervised_map, spec_cell,
                                             items, **kwargs))
             else:
-                results = await supervised_map_async(solve_cell, items, pool,
+                results = await supervised_map_async(spec_cell, items, pool,
                                                      **kwargs)
             error = None
         except Exception as exc:

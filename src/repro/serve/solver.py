@@ -30,12 +30,11 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..core import bd_allocation, bottleneck_decomposition
-from ..engine import EngineContext, EngineSpec
+from ..engine import EngineContext
 from ..exceptions import ReproError, is_escalatable, is_retryable
 from ..graphs import WeightedGraph, canonical_form
 from ..graphs.builders import ring
 from ..io import graph_from_dict, scalar_to_json
-from ..numeric import EXACT
 
 __all__ = [
     "canonical_dict",
@@ -46,11 +45,10 @@ __all__ = [
     "map_result",
     "single_shot_response",
     "solve_cell",
-    "solve_cell_exact",
 ]
 
 
-def deadline_marker(item: tuple[EngineSpec, dict]) -> dict:
+def deadline_marker(item: tuple) -> dict:
     """``supervised_map``'s ``on_deadline`` hook for serve cells.
 
     A cell whose deadline budget runs out inside the map settles as this
@@ -153,21 +151,14 @@ def map_result(result: dict, order: Sequence[int]) -> dict:
     return {"n": n, "utilities": utilities, "alphas": alphas, "pairs": pairs}
 
 
-def _solve_canonical(canon_dict: dict, ctx: EngineContext, backend=None) -> dict:
-    g = graph_from_dict(canon_dict)
-    with ctx.span("serve/solve"):
-        decomp = bottleneck_decomposition(g, backend, ctx)
-        alloc = bd_allocation(g, decomp, backend, ctx)
-    return _encode_result(g, decomp, alloc)
+def solve_cell(canon_dict: dict, ctx: EngineContext, backend=None) -> dict:
+    """One served cell: canonical graph dict -> result dict.
 
-
-def solve_cell(item: tuple[EngineSpec, dict]) -> dict:
-    """One worker cell: ``(spec, canonical_graph_dict)`` -> result dict.
-
-    Runs on the supervised pool (or in-process for ``shards=0``); the
-    worker memoizes one rebuilt context per spec and registers it with the
-    metrics drain, so batched solves hit a per-shard decomposition cache
-    and their counters flow back to the server context.
+    The server submits it as ``(solve_cell, (canon_dict,), shard_spec)``
+    items to :func:`repro.runtime.spec_cell` (and to
+    :func:`repro.runtime.spec_cell_exact` on escalation), so each shard's
+    worker solves on its own memoized, metrics-registered context and
+    batched solves hit a per-shard decomposition cache.
 
     Error discipline: retryable/escalatable failures (injected faults,
     numeric instability, non-convergence) propagate so the supervisor's
@@ -175,38 +166,12 @@ def solve_cell(item: tuple[EngineSpec, dict]) -> dict:
     in the typed taxonomy comes back as an ``{"error": ...}`` marker --
     one bad instance costs one error response, never the batch.
     """
-    # Lazy import sidesteps the analysis -> runtime -> obs import chain at
-    # package-import time; the memoized per-process context (and its drain
-    # registration) is exactly what the sweep workers already use.
-    from ..analysis.parallel import _context_for
-
-    spec, canon_dict = item
-    ctx = _context_for(spec)
     try:
-        return _solve_canonical(canon_dict, ctx, spec.backend)
-    except ReproError as exc:
-        if is_retryable(exc) or is_escalatable(exc):
-            raise
-        return {"error": {"type": type(exc).__name__, "message": str(exc)}}
-
-
-def solve_cell_exact(item: tuple[EngineSpec, dict]) -> dict:
-    """Escalation twin of :func:`solve_cell`: the exact ``Fraction`` backend.
-
-    Wired as ``supervised_map``'s ``escalate_fn``, so a request whose float
-    solve keeps failing with a typed numeric error is answered exactly
-    (``frac`` encodings in the response) instead of failing the client.
-    Only such cells reach it: a ring whose float solve works is always
-    answered (and cached) in floats.  It keeps :func:`solve_cell`'s
-    non-retryable -> error-marker discipline, so a typed failure of the
-    exact solve costs its own cell an error envelope, not its batch.
-    """
-    spec, canon_dict = item
-    from ..analysis.parallel import _context_for
-
-    ctx = _context_for(spec)
-    try:
-        return _solve_canonical(canon_dict, ctx, EXACT)
+        g = graph_from_dict(canon_dict)
+        with ctx.span("serve/solve"):
+            decomp = bottleneck_decomposition(g, backend, ctx)
+            alloc = bd_allocation(g, decomp, backend, ctx)
+        return _encode_result(g, decomp, alloc)
     except ReproError as exc:
         if is_retryable(exc) or is_escalatable(exc):
             raise

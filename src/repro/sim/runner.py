@@ -5,14 +5,12 @@
 schedule (membership is seed-driven and independent of attack results, so
 the whole epoch sequence is known up front), flattens all
 ``(epoch, adversary)`` best-response cells into **one** work list, and
-executes it through the same two paths as
-:func:`repro.analysis.parallel.parallel_incentive_sweep` -- serial sharing
-the caller's context, or supervised under
-:func:`repro.runtime.supervised_map` for process-parallel runs and
-whenever the resolved policy wants timeouts/retries/fault-injection or a
-checkpoint journal is requested.  Both produce bit-identical results; a
-run resumed from a journal after ``kill -9`` is indistinguishable from an
-uninterrupted one.
+runs it through :func:`repro.runtime.run_cells` -- serial on the caller's
+context, or supervised under :func:`repro.runtime.supervised_map` for
+process-parallel runs and whenever the resolved policy wants
+timeouts/retries/fault-injection or a checkpoint journal is requested.
+Both produce bit-identical results; a run resumed from a journal after
+``kill -9`` is indistinguishable from an uninterrupted one.
 
 The journal fingerprint is built with
 :func:`repro.runtime.fingerprint_of` over the scenario's *complete* field
@@ -41,11 +39,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..analysis.parallel import _context_for
 from ..attack import best_split
-from ..engine import ENGINE_NAME, SOLVER_NAME, EngineContext, EngineSpec, resolve_context
+from ..engine import (
+    ENGINE_NAME,
+    SOLVER_NAME,
+    ZERO_TOL,
+    EngineContext,
+    EngineSpec,
+    resolve_context,
+)
 from ..graphs import WeightedGraph
-from ..numeric import EXACT
 from ..oracle import (
     FailureCorpus,
     FailureRecord,
@@ -54,7 +57,7 @@ from ..oracle import (
 )
 from ..oracle.corpus import now_stamp
 from ..io import graph_to_dict
-from ..runtime import RuntimePolicy, fingerprint_of, open_journal, resolve_policy, supervised_map
+from ..runtime import RuntimePolicy, fingerprint_of, run_cells
 from .coalition import AttackOutcome, evaluate_strategy
 from .population import Population
 from .scenario import Scenario, resolve_scenario
@@ -87,7 +90,7 @@ def scenario_fingerprint(scenario: Scenario, spec: EngineSpec | None) -> str:
     """
     engine = ()
     if spec is not None:
-        engine = (SOLVER_NAME, spec.backend.name, spec.zero_tol, ENGINE_NAME)
+        engine = (SOLVER_NAME, spec.backend.name, ZERO_TOL, ENGINE_NAME)
     return fingerprint_of(
         kind="repro-sim/1",
         scenario=scenario.fingerprint_fields(),
@@ -107,7 +110,10 @@ def _run_cell(
     ctx: EngineContext,
     backend=None,
 ) -> dict:
-    """One adversary cell against a live context; returns a plain payload."""
+    """One adversary cell against a live context; returns a plain payload.
+
+    Module-level with a trailing ``ctx``/``backend`` pair: the cell shape
+    of :func:`repro.runtime.run_cells`."""
     backend = ctx.resolve_backend(backend)
     ctx.counters.sim_attacks += 1
     hint = _WARM_HINTS.get(hint_key) if strategy == "adaptive" else None
@@ -120,27 +126,6 @@ def _run_cell(
     if hint_out is not None:
         _WARM_HINTS[hint_key] = hint_out
     return outcome.to_payload()
-
-
-def _sim_cell(args: tuple) -> dict:
-    """Picklable cell for workers/supervision: last slot is an
-    :class:`EngineSpec` rebuilt into the per-process memoized context."""
-    (g, vertex, agent_id, strategy, grid, partner_vertex, partner_agent,
-     scen_name, seed, spec) = args
-    ctx = _context_for(spec)
-    return _run_cell(g, vertex, agent_id, strategy, grid, partner_vertex,
-                     partner_agent, (scen_name, seed, agent_id), ctx)
-
-
-def _sim_cell_exact(args: tuple) -> dict:
-    """Precision-escalated twin of :func:`_sim_cell` (exact backend), used
-    by the supervisor after typed numeric failures exhaust float retries."""
-    (g, vertex, agent_id, strategy, grid, partner_vertex, partner_agent,
-     scen_name, seed, spec) = args
-    ctx = _context_for(spec)
-    return _run_cell(g, vertex, agent_id, strategy, grid, partner_vertex,
-                     partner_agent, (scen_name, seed, agent_id), ctx,
-                     backend=EXACT)
 
 
 @dataclass(frozen=True)
@@ -240,7 +225,7 @@ def _zeta_record(scenario, epoch, g, outcome, ctx) -> FailureRecord:
         context={
             "solver": SOLVER_NAME,
             "backend": backend_to_dict(ctx.backend),
-            "zero_tol": ctx.zero_tol,
+            "zero_tol": ZERO_TOL,
             "level": "sim",
         },
         payload={
@@ -273,16 +258,12 @@ def run_scenario(
 
     ``seed``/``epochs`` override the scenario's own fields (the CLI's
     ``--seed``/``--epochs``).  ``processes=None`` defers to
-    ``ctx.workers``; supervision engages exactly as in
-    :func:`~repro.analysis.parallel.parallel_incentive_sweep` -- for
-    parallel runs, when the resolved policy asks for it, or when a
-    checkpoint path is given.
+    ``ctx.workers``; supervision engages as :func:`repro.runtime.run_cells`
+    rules -- for parallel runs, when the resolved policy asks for it, or
+    when a checkpoint path is given.
     """
     scenario = resolve_scenario(scenario, seed=seed, epochs=epochs)
     rctx = resolve_context(ctx)
-    rpolicy = resolve_policy(rctx, policy)
-    checkpoint = checkpoint if checkpoint is not None else rpolicy.checkpoint
-    procs = rctx.resolve_workers(processes)
     sched = ChurnSchedule(scenario)
 
     # -- phase 1: derive the full epoch sequence (seed-driven, cheap) -----
@@ -300,7 +281,7 @@ def run_scenario(
             events.append(event)
 
     # -- phase 2: flatten every (epoch, adversary) cell -------------------
-    cells: list[tuple] = []   # args minus the trailing spec slot
+    cells: list[tuple] = []   # _run_cell arguments, ctx aside
     keys: list[str] = []
     meta: list[tuple[int, int]] = []  # (epoch, cells-offset bookkeeping)
     for epoch, (pop, g, _agent_ids) in enumerate(epoch_pops):
@@ -312,40 +293,19 @@ def run_scenario(
                 partner_vertex, partner_agent = pv, pa.agent_id
             cells.append((g, vertex, agent.agent_id, agent.strategy,
                           scenario.grid, partner_vertex, partner_agent,
-                          scenario.name, scenario.seed))
+                          (scenario.name, scenario.seed, agent.agent_id)))
             keys.append(f"e{epoch}:a{agent.agent_id}:{agent.strategy}")
             meta.append((epoch, agent.agent_id))
     rctx.counters.sim_epochs += scenario.epochs
 
     # -- phase 3: execute -------------------------------------------------
-    supervised = rpolicy.supervised or checkpoint is not None
     with rctx.span("sim/attacks"):
-        if not supervised and (procs <= 0 or len(cells) <= 1):
-            payloads = [
-                _run_cell(*args[:7],
-                          hint_key=(args[7], args[8], args[2]), ctx=rctx)
-                for args in cells
-            ]
-        else:
-            spec = rctx.spec()
-            items = [args + (spec,) for args in cells]
-            fingerprint = scenario_fingerprint(scenario, spec)
-            journal = open_journal(checkpoint, fingerprint)
-            try:
-                payloads = supervised_map(
-                    _sim_cell,
-                    items,
-                    processes=procs,
-                    policy=rpolicy,
-                    counters=rctx.counters,
-                    escalate_fn=_sim_cell_exact,
-                    journal=journal,
-                    key_fn=lambda i: keys[i],
-                    tracer=getattr(rctx, "tracer", None),
-                )
-            finally:
-                if journal is not None:
-                    journal.close()
+        payloads = run_cells(
+            _run_cell, cells, rctx,
+            policy=policy, processes=processes, checkpoint=checkpoint,
+            fingerprint=lambda spec: scenario_fingerprint(scenario, spec),
+            key_fn=keys.__getitem__,
+        )
 
     # -- phase 4: fold back into epochs, police the zeta bound ------------
     by_epoch: dict[int, list[AttackOutcome]] = {e: [] for e in range(scenario.epochs)}

@@ -28,9 +28,9 @@ _MASK = 0x7FFFFFFF
 def sim_rng(seed: int, *coords: int) -> np.random.Generator:
     """Per-cell generator for the simulator's coordinate space.
 
-    Same discipline as :func:`repro.analysis.sweep.cell_rng`, but over
-    integer coordinates only -- no ``hash()`` of strings, whose salt would
-    differ across worker processes and break replay.
+    Seeds a ``SeedSequence`` from integer coordinates only -- no
+    ``hash()`` of strings, whose salt would differ across worker processes
+    and break replay.
     """
     return np.random.default_rng(
         np.random.SeedSequence([int(seed) & _MASK] + [int(c) & _MASK for c in coords])

@@ -1,37 +1,16 @@
-"""Tests for sweeps, statistics, and sweep instrumentation."""
+"""Tests for statistics and sweep instrumentation."""
 
 import numpy as np
 import pytest
 
 from repro.analysis import (
     PairEvent,
-    SweepResult,
-    cell_rng,
     censored_max,
     geometric_mean,
-    run_sweep,
     summarize,
     trace_report_sweep,
 )
 from repro.graphs import random_ring, star
-
-
-def test_cell_rng_deterministic_and_distinct():
-    a = cell_rng(0, "x", 1).random()
-    b = cell_rng(0, "x", 1).random()
-    c = cell_rng(0, "x", 2).random()
-    assert a == b
-    assert a != c
-
-
-def test_run_sweep_collects_cells():
-    result = run_sweep("demo", [(n,) for n in (3, 4, 5)],
-                       lambda rng, n: {"n2": n * n})
-    assert [c.values["n2"] for c in result.cells] == [9, 16, 25]
-    assert result.column("n2") == [9, 16, 25]
-    assert result.max_over("n2") == 25
-    rows = result.rows(["n2"])
-    assert rows[0] == [3, 9]
 
 
 def test_summarize():

@@ -1,19 +1,23 @@
 """Tests for the process-parallel sweep executor."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.analysis import parallel_incentive_sweep, sweep_fingerprint
-from repro.analysis.parallel import _ratio_cell, _ratio_cell_exact
-from repro.engine import EngineContext
+from repro.analysis.parallel import _best_ratio
+from repro.engine import EngineContext, EngineSpec
 from repro.graphs import random_ring
-from repro.runtime import RuntimePolicy
+from repro.runtime import RuntimePolicy, spec_cell, spec_cell_exact
 
 
 def test_ratio_cell_picklable_and_correct():
     g = random_ring(4, np.random.default_rng(0), "integer", 1, 9)
-    r = _ratio_cell((g, 0, 12))
+    item = pickle.loads(pickle.dumps((_best_ratio, (g, 0, 12), EngineSpec())))
+    r = spec_cell(item)
     assert 1.0 - 1e-9 <= r <= 2.0 + 1e-6
+    assert r == _best_ratio(g, 0, 12, ctx=EngineContext())
 
 
 def test_parallel_incentive_sweep_matches_serial():
@@ -57,7 +61,8 @@ def test_sweep_policy_resolves_from_context():
 
 def test_ratio_cell_exact_agrees_with_float_cell():
     g = random_ring(4, np.random.default_rng(0), "integer", 1, 9)
-    assert _ratio_cell_exact((g, 0, 12)) == pytest.approx(_ratio_cell((g, 0, 12)))
+    item = (_best_ratio, (g, 0, 12), EngineSpec())
+    assert spec_cell_exact(item) == pytest.approx(spec_cell(item))
 
 
 def test_sweep_fingerprint_sensitivity():

@@ -7,6 +7,7 @@ import pytest
 from repro.engine import (
     DEFAULT_CACHE_SIZE,
     INT_COUNTER_FIELDS,
+    ZERO_TOL,
     EngineContext,
     EngineSpec,
     default_context,
@@ -31,7 +32,7 @@ def _diamond():
 def test_default_context_matches_historic_config():
     ctx = EngineContext()
     assert ctx.backend is FLOAT
-    assert ctx.zero_tol == 0.0
+    assert ZERO_TOL == 0.0
     assert ctx.workers == 0
     assert ctx.cache.enabled and ctx.cache.maxsize == DEFAULT_CACHE_SIZE
 
@@ -63,8 +64,7 @@ def test_max_flow_counts_calls():
 
 
 def test_spec_round_trip_and_pickling():
-    ctx = EngineContext(backend=EXACT, zero_tol=0.0, cache_size=16,
-                        workers=3)
+    ctx = EngineContext(backend=EXACT, cache_size=16, workers=3)
     spec = ctx.spec()
     assert spec == EngineSpec(backend=EXACT, cache_size=16, workers=3)
     revived = pickle.loads(pickle.dumps(spec))

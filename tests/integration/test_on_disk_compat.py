@@ -1,13 +1,14 @@
-"""On-disk state written while the max-flow solver and the engine were
-selectable still loads.
+"""On-disk state written while the max-flow solver, the engine and the
+flow zero-tolerance were selectable still loads.
 
 Sweep checkpoints, simulator journals, experiment-suite journals and the
 serve write-ahead journal and cache snapshot are guarded by fingerprints
-that once hashed the configured solver name and engine.  They now hash the
-fixed names ``"dinic"`` and ``"columnar"`` in their place; the values
-pinned here are what each fingerprint was for the same input when those
-were the default choices, so state written then resumes instead of being
-refused as foreign.
+that once hashed the configured solver name, engine and ``zero_tol``.
+They now hash the fixed ``"dinic"``, ``"columnar"`` and ``0.0`` in their
+place; the values pinned here are what each fingerprint was for the same
+input when those were the default choices, so state written then resumes
+instead of being refused as foreign.  A corpus record that needs a value
+the engine no longer offers is refused with a typed error.
 """
 
 import pytest
@@ -47,4 +48,16 @@ def test_record_naming_a_removed_solver_is_refused_typed():
         payload={"graph": graph_to_dict(ring([1.0, 2.0, 3.0]))},
     )
     with pytest.raises(CorpusError, match="push_relabel"):
+        replay_record(rec)
+
+
+def test_record_needing_another_zero_tol_is_refused_typed():
+    rec = FailureRecord(
+        kind="decomposition",
+        problems=("recorded at a positive flow tolerance",),
+        context={"solver": "dinic", "backend": backend_to_dict(FLOAT),
+                 "zero_tol": 1e-9, "level": "cheap"},
+        payload={"graph": graph_to_dict(ring([1.0, 2.0, 3.0]))},
+    )
+    with pytest.raises(CorpusError, match="zero_tol"):
         replay_record(rec)

@@ -94,12 +94,12 @@ def test_diff_counter_snapshots_drops_zeros_and_diffs_phases():
 
 def test_spec_rebuild_registers_for_draining():
     # The worker-side path: a context rebuilt from a spec inside
-    # _context_for must participate in the drain protocol.
-    from repro.analysis.parallel import _WORKER_CONTEXTS, _context_for
+    # worker_context must participate in the drain protocol.
+    from repro.runtime.cells import _WORKER_CONTEXTS, worker_context
 
     spec = EngineContext(cache_size=0).spec()
     _WORKER_CONTEXTS.pop(spec, None)
-    ctx = _context_for(spec)
+    ctx = worker_context(spec)
     drain_worker_metrics()
     _work(ctx)
     delta = drain_worker_metrics()

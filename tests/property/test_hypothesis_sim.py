@@ -4,7 +4,7 @@ The paper's Theorem 8 bound (``zeta <= 2``) is proved for a single
 Sybil-splitting agent on a static ring; the simulator probes it under
 churning populations and mixed adversary strategies.  These properties
 assert the empirical bound holds across random scenarios on both the
-float backend (up to ``zero_tol`` slack) and the exact Fraction backend
+float backend (up to a ``1e-9`` rounding slack) and the exact Fraction backend
 (up to grid-search slack only -- exact arithmetic leaves nothing to
 rounding), and that the whole pipeline stays a pure function of the
 scenario seed.
@@ -48,15 +48,14 @@ def _run(scenario, ctx=None):
 @settings(max_examples=20, deadline=None)
 @given(scenarios)
 def test_zeta_bound_holds_on_simulated_epochs_float(scen):
-    zero_tol = 1e-9
-    ctx = EngineContext(zero_tol=zero_tol)
-    result = _run(scen, ctx=ctx)
+    slack = 1e-9
+    result = _run(scen, ctx=EngineContext())
     assert result.violations == ()
-    assert result.max_ratio <= 2.0 + scen.zeta_slack + zero_tol
+    assert result.max_ratio <= 2.0 + scen.zeta_slack + slack
     for rep in result.reports:
         for out in rep.outcomes:
-            assert out.utility >= -zero_tol
-            assert out.honest_utility >= -zero_tol
+            assert out.utility >= -slack
+            assert out.honest_utility >= -slack
 
 
 @settings(max_examples=8, deadline=None)

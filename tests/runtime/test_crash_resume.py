@@ -1,18 +1,12 @@
 """Crash/resume: killed runs resumed from a checkpoint are bit-identical.
 
-Three granularities, mirroring where journals attach in the stack:
-incentive-sweep cells (``parallel_incentive_sweep``), generic sweep cells
-(``run_sweep``, with a *real* SIGKILL mid-run in a subprocess), and whole
-experiments (``run_experiment``).  Plus the chaos property: a single
+Two of the three granularities where journals attach in the stack:
+incentive-sweep cells (``parallel_incentive_sweep``) and whole
+experiments (``run_experiment``).  Scenario cells (``run_scenario``),
+resumed after a *real* SIGKILL mid-run in a subprocess, are
+``tests/sim/test_resume_kill.py``.  Plus the chaos property: a single
 injected fault under ``retries >= 1`` never changes results.
 """
-
-import json
-import os
-import signal
-import subprocess
-import sys
-import textwrap
 
 import numpy as np
 import pytest
@@ -90,63 +84,6 @@ def test_completed_sweep_resume_recomputes_nothing(tmp_path):
     assert again == first
     assert ctx.counters.checkpoint_hits == sum(g.n for g in graphs)
     assert ctx.counters.flow_calls == 0  # pure replay: the engine never ran
-
-
-# -- run_sweep granularity, with a genuine SIGKILL ------------------------
-
-_KILL_SCRIPT = textwrap.dedent("""
-    import json, os, signal, sys
-
-    from repro.analysis.sweep import run_sweep
-    from repro.engine import Counters
-
-    flag = sys.argv[1]
-    ckpt = None if sys.argv[2] == "-" else sys.argv[2]
-
-    def measure(rng, n, rep):
-        if n == 6 and rep == 0 and not os.path.exists(flag):
-            open(flag, "w").close()
-            os.kill(os.getpid(), signal.SIGKILL)  # mid-run hard kill
-        return {"x": float(rng.random()), "n": n}
-
-    coords = [(n, rep) for n in (4, 5, 6, 7) for rep in (0, 1)]
-    counters = Counters()
-    res = run_sweep("kill-demo", coords, measure, seed=3,
-                    checkpoint=ckpt, counters=counters)
-    print(json.dumps({
-        "rows": [[list(c.coords), c.values] for c in res.cells],
-        "hits": counters.checkpoint_hits,
-    }))
-""")
-
-
-def test_run_sweep_survives_sigkill_and_resumes_bit_identically(tmp_path):
-    script = tmp_path / "killer.py"
-    script.write_text(_KILL_SCRIPT)
-    flag = str(tmp_path / "already-died")
-    ckpt = str(tmp_path / "sweep.ckpt")
-    # cell_rng folds hash(name) into the seed sequence, and string hashes
-    # are per-process randomized -- pin them so all three runs agree.
-    env = dict(os.environ, PYTHONPATH="src", PYTHONHASHSEED="0")
-
-    def run(checkpoint):
-        return subprocess.run([sys.executable, str(script), flag, checkpoint],
-                              capture_output=True, text=True, env=env,
-                              cwd="/root/repo")
-
-    first = run(ckpt)
-    assert first.returncode == -signal.SIGKILL  # it really died mid-sweep
-
-    second = run(ckpt)
-    assert second.returncode == 0, second.stderr
-    out = json.loads(second.stdout)
-    assert out["hits"] > 0  # some cells survived the kill and were replayed
-
-    # The resumed run equals a never-interrupted one (the flag file now
-    # exists, so a checkpoint-less rerun completes without the kill).
-    baseline = run("-")
-    assert baseline.returncode == 0, baseline.stderr
-    assert out["rows"] == json.loads(baseline.stdout)["rows"]
 
 
 # -- experiment granularity -----------------------------------------------

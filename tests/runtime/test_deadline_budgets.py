@@ -68,7 +68,7 @@ def test_budget_bounds_the_retry_backoff():
     """A budget the backoff would cross expires the cell instead of
     sleeping past the caller's deadline."""
     counters = Counters()
-    policy = RuntimePolicy(retries=5, backoff_base=0.5, escalate=False)
+    policy = RuntimePolicy(retries=5, backoff_base=0.5)
     out = supervised_map(_always_faults, ["a"], processes=0, policy=policy,
                         counters=counters, budgets=[0.05],
                         on_deadline=_marker)

@@ -64,7 +64,6 @@ def test_inert_policy_is_not_supervised():
     assert not RuntimePolicy().supervised
     assert RuntimePolicy(retries=1).supervised
     assert RuntimePolicy(timeout=1.0).supervised
-    assert RuntimePolicy(checkpoint="x").supervised
     assert RuntimePolicy(faults="cell:exc@0").supervised
 
 
@@ -127,8 +126,7 @@ def test_run_cell_escalates_to_exact_twin():
 def test_run_cell_escalation_disabled_raises():
     with pytest.raises(CellFailedError):
         run_cell(_always_diverges, 9, 0,
-                 RuntimePolicy(retries=0, escalate=False), Counters(),
-                 escalate_fn=_exact_twin)
+                 RuntimePolicy(retries=0), Counters())
 
 
 # -- parallel path ---------------------------------------------------------

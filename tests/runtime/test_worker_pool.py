@@ -198,7 +198,10 @@ def test_cpu_budget_counts_from_each_map(pool):
 # -- supervision parity: the same recovery under both drivers ---------------
 
 def test_hung_cell_is_killed_and_retried(pool):
-    policy = RuntimePolicy(timeout=0.5, retries=1, backoff_base=0.0,
+    # The timeout binds every cell, and a respawned worker's first cell
+    # is timed from its send, before the fresh fork runs: 2 s leaves a
+    # loaded host room to start it (the injected hang is 60 s).
+    policy = RuntimePolicy(timeout=2.0, retries=1, backoff_base=0.0,
                            faults="cell:hang@1:60")
     for run_map in DRIVERS:
         c = Counters()

@@ -23,6 +23,7 @@ from repro.engine import EngineSpec
 from repro.exceptions import DurabilityError, MalformedInputError
 from repro.graphs.builders import random_ring
 from repro.io import graph_to_dict
+from repro.runtime import spec_cell
 from repro.serve import ServeConfig, start_in_thread
 from repro.serve.durability import (
     DurabilityConfig,
@@ -167,7 +168,7 @@ def test_snapshot_round_trip_missing_and_mismatch(tmp_path):
     path = tmp_path / "cache.snap"
     assert load_snapshot(path, FP) is None
     key, canon = _canon(3)
-    result = solve_cell((EngineSpec(), canon))
+    result = spec_cell((solve_cell, (canon,), EngineSpec()))
     entries = [(key, result), (b"\x00\x01", {"n": 2})]
     save_snapshot(path, entries, FP)
     assert load_snapshot(path, FP) == entries
@@ -207,7 +208,7 @@ def test_snapshot_and_journal_payloads_are_bit_exact(tmp_path_factory, seed, n):
     """
     tmp = tmp_path_factory.mktemp("durability-prop")
     key, _order, canon = canonical_request(_graph_dict(seed, n))
-    result = solve_cell((EngineSpec(), canon))
+    result = spec_cell((solve_cell, (canon,), EngineSpec()))
 
     save_snapshot(tmp / "cache.snap", [(key, result)], FP)
     [(rkey, rresult)] = load_snapshot(tmp / "cache.snap", FP)

@@ -158,7 +158,7 @@ def test_ping_and_hits_answer_while_an_escalation_runs(monkeypatch):
     # the server process and is held open here for a second first (a
     # sleep, so only an escalation run on the loop could block it).
     started, held = threading.Event(), threading.Event()
-    real = server_mod.solve_cell_exact
+    real = server_mod.spec_cell_exact
     loop_threads: list = []
 
     def slow_exact(item):
@@ -168,7 +168,7 @@ def test_ping_and_hits_answer_while_an_escalation_runs(monkeypatch):
         held.set()
         return real(item)
 
-    monkeypatch.setattr(server_mod, "solve_cell_exact", slow_exact)
+    monkeypatch.setattr(server_mod, "spec_cell_exact", slow_exact)
     seed_graph = _ring(8, seed=4)
     box: dict = {}
     with serving(shards=1, faults="flow:nan@1") as handle:

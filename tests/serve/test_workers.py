@@ -8,14 +8,19 @@ behind.  ``stats()["workers"]`` maps each shard to its worker's pid.
 
 from __future__ import annotations
 
+import json
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 
-from repro.analysis import parallel
+import repro
 from repro.graphs import ring
 from repro.io import graph_to_dict
+from repro.runtime import cells
 from repro.serve import ServeConfig, start_in_thread
 
 from .client import Client, client_for, serving
@@ -32,7 +37,7 @@ def _solve(c, i: int, g=None) -> dict:
 
 def _local_decompositions(spec) -> int:
     # Solves this (the server's) process ran on the shard's context.
-    ctx = parallel._WORKER_CONTEXTS.get(spec)
+    ctx = cells._WORKER_CONTEXTS.get(spec)
     return 0 if ctx is None else ctx.counters.decompositions
 
 
@@ -70,6 +75,54 @@ def test_consecutive_flushes_share_one_worker():
         assert stats["decompositions"] == 5
         assert _local_decompositions(spec) == local_before
         assert stats["worker_respawns"] == 0
+
+
+_FORK_IMPORTS_SCRIPT = textwrap.dedent("""
+    import json, os, sys
+
+    server_pid = os.getpid()
+    log = sys.argv[1]
+
+    class ChildImports:
+        # Consulted only for a module not in sys.modules yet: a forked
+        # worker that reaches it imports what its server had not loaded.
+        def find_spec(self, name, path=None, target=None):
+            if os.getpid() != server_pid:
+                with open(log, "a") as f:
+                    f.write(name + "\\n")
+            return None
+
+    sys.meta_path.insert(0, ChildImports())
+
+    from repro.graphs import ring
+    from repro.io import graph_to_dict
+    from repro.serve.client import client_for, serving
+
+    with serving(shards=1, cache_size=0) as handle:
+        with client_for(handle) as c:
+            resp = c.rpc({"op": "solve", "id": 0,
+                          "graph": graph_to_dict(ring([1.25, 2.5, 3.0, 4.75]))})
+        decompositions = handle.server.stats()["decompositions"]
+    print(json.dumps({"status": resp["status"],
+                      "decompositions": decompositions}))
+""")
+
+
+def test_first_served_cell_imports_nothing_in_the_worker(tmp_path):
+    # A worker forked while another server thread holds an import lock
+    # deadlocks in its first import, so everything a served cell needs
+    # must be loaded in the server before it forks.
+    script = tmp_path / "fork_imports.py"
+    script.write_text(_FORK_IMPORTS_SCRIPT)
+    log = tmp_path / "child_imports.txt"
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    proc = subprocess.run([sys.executable, str(script), str(log)],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    # The worker solved the cell (its drained work reached the server).
+    assert json.loads(proc.stdout) == {"status": "ok", "decompositions": 1}
+    assert not log.exists(), log.read_text()
 
 
 def test_fault_free_load_spawns_exactly_one_worker_per_shard():
